@@ -93,7 +93,7 @@ def cmd_gen(args) -> int:
 
 def cmd_project(args) -> int:
     dense = _read_dense(args.infile)
-    m, report = project(dense, args.b, threads=resolve_threads(args.threads))
+    m, report = project(dense, args.b)
     io.write_mon(args.out, m)
     lines = [
         f"input_norm {fmt(report.input_norm)}",
@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Structured-matrix toolkit: generate, apply, project, factorize, verify, benchmark.",
     )
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (0 = auto; default: MONARCH_THREADS or 1)")
+                        help="worker threads for factorize (0 = auto; default: MONARCH_THREADS or 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a matrix file")

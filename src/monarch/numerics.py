@@ -7,8 +7,10 @@ inspectable floating-point path:
 
   * matmul        - fixed k-ascending accumulation order (reproducible)
   * lu_invert     - partial-pivot LU with an explicit singularity threshold
-  * svd           - one-sided Jacobi rotations, unconditionally convergent
-                    in this size regime
+  * svd           - one-sided Jacobi rotations over a stack of matrices:
+                    each sweep is a Brent-Luk round-robin of disjoint column
+                    pairs, and one round rotates those pairs in every matrix
+                    of the stack at once (a single matrix is a batch of one)
   * eig           - Hessenberg reduction + shifted QR in complex arithmetic
 
 All functions are pure; none mutate their inputs.
@@ -16,6 +18,7 @@ All functions are pure; none mutate their inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -141,107 +144,172 @@ class SvdResult:
 
 
 def svd(a, max_sweeps: int = _SVD_MAX_SWEEPS) -> SvdResult:
-    """Thin SVD by one-sided Jacobi rotations on the columns.
+    """Thin SVD of a matrix or of a stack (batch, rows, cols) of matrices.
 
-    Raises NoConvergence if column pairs are still far from orthogonal after
-    the sweep budget.
+    One-sided Jacobi rotations on the columns, every matrix of a stack in
+    the same batched kernel; a single matrix is a batch of one. Raises
+    NoConvergence if column pairs are still far from orthogonal after the
+    sweep budget, or at once on a non-finite entry.
     """
     a = np.asarray(a)
-    if a.ndim != 2:
-        raise DimensionMismatch("svd operand must be 2-D")
-    rows, cols = a.shape
-    if rows < cols:
-        flipped = svd(a.conj().T, max_sweeps=max_sweeps)
-        return SvdResult(u=flipped.v, s=flipped.s, v=flipped.u)
-    dtype = dtype_for(field_of(a))
-    w = a.astype(dtype).copy()
-    v = np.eye(cols, dtype=dtype)
+    if a.ndim not in (2, 3):
+        raise DimensionMismatch("svd operand must be a matrix or a stack of matrices")
+    stack = a[None] if a.ndim == 2 else a
+    if stack.shape[1] < stack.shape[2]:
+        v, s, u = _jacobi_svd(stack.conj().transpose(0, 2, 1), max_sweeps)
+    else:
+        u, s, v = _jacobi_svd(stack, max_sweeps)
+    if a.ndim == 2:
+        return SvdResult(u=u[0], s=s[0], v=v[0])
+    return SvdResult(u=u, s=s, v=v)
+
+
+@functools.lru_cache(maxsize=None)
+def _round_robin(m: int) -> np.ndarray:
+    """Slot shift of the Brent-Luk ordering for an even number m of columns.
+
+    Columns sit in adjacent slot pairs (2i, 2i+1). Reindexing the slots by
+    the returned array after each round meets every column pair exactly
+    once in m - 1 rounds, after which every column is back in its slot.
+    """
+    # round r pairs ring[i] with ring[m-1-i], where ring = [0] + the other
+    # columns rotated r places; slot 2i holds ring[i], slot 2i+1 ring[m-1-i]
+    ring_of_slot = np.array([i // 2 if i % 2 == 0 else m - 1 - i // 2 for i in range(m)])
+    slot_of_ring = np.argsort(ring_of_slot)
+    advance = np.concatenate(([0], np.arange(2, m), [1]))
+    shift = slot_of_ring[advance[ring_of_slot]]
+    shift.setflags(write=False)  # shared by every caller through the cache
+    return shift
+
+
+def _jacobi_svd(stack: np.ndarray, max_sweeps: int):
+    """Batched one-sided Jacobi on a (batch, rows, cols) stack, rows >= cols.
+
+    Returns (u, s, v) stacks with descending s.
+    """
+    batch, rows, cols = stack.shape
+    dtype = dtype_for(field_of(stack))
+    m = cols + cols % 2  # an odd column count gets a zero dummy column
+    # x[i, k] holds column k of matrix i followed by column k of its v
+    x = np.zeros((batch, m, rows + cols), dtype=dtype)
+    x[:, :cols, :rows] = stack.transpose(0, 2, 1)
+    x[:, np.arange(cols), rows + np.arange(cols)] = 1.0
+    frobenius_sq = _sum_sq(x[:, :, :rows]).sum(axis=1)
+    # a NaN Gram entry compares false and would read as converged; rotations
+    # preserve |a|_F, so a finite one here bounds every later Gram entry
+    if not np.isfinite(frobenius_sq).all():
+        raise NoConvergence("jacobi svd: non-finite entry or norm overflow")
     # columns whose norm falls below machine noise relative to |a|_F are
     # numerically zero: rotating them never converges, so freeze them
-    zero_col_sq = (4.0 * EPS * float(np.linalg.norm(a))) ** 2
+    zero_col_sq = (4.0 * EPS) ** 2 * frobenius_sq
     if cols > 1:
-        converged = False
-        for _ in range(max_sweeps):
-            worst = 0.0
-            for p in range(cols - 1):
-                for q in range(p + 1, cols):
-                    app = float(np.vdot(w[:, p], w[:, p]).real)
-                    aqq = float(np.vdot(w[:, q], w[:, q]).real)
-                    apq = complex(np.vdot(w[:, p], w[:, q]))
-                    add_multiplies(3 * rows)
-                    if app <= zero_col_sq or aqq <= zero_col_sq:
-                        continue
-                    scale = math.sqrt(app) * math.sqrt(aqq)
-                    rel = abs(apq) / scale
-                    worst = max(worst, rel)
-                    if rel <= _SVD_ORTH_TOL:
-                        continue
-                    mag = abs(apq)
-                    phase = apq / mag
-                    zeta = (aqq - app) / (2.0 * mag)
-                    t = math.copysign(1.0, zeta) / (abs(zeta) + math.sqrt(1.0 + zeta * zeta))
-                    cs = 1.0 / math.sqrt(1.0 + t * t)
-                    sn = cs * t
-                    if dtype == np.float64:
-                        phase = phase.real
-                    wp = w[:, p].copy()
-                    w[:, p] = cs * wp - sn * np.conj(phase) * w[:, q]
-                    w[:, q] = sn * phase * wp + cs * w[:, q]
-                    vp = v[:, p].copy()
-                    v[:, p] = cs * vp - sn * np.conj(phase) * v[:, q]
-                    v[:, q] = sn * phase * vp + cs * v[:, q]
-                    add_multiplies(4 * rows + 4 * cols)
-            if worst <= _SVD_ORTH_TOL:
-                converged = True
-                break
-        if not converged:
-            raise NoConvergence(f"jacobi svd: not orthogonal after {max_sweeps} sweeps")
-    norms = np.sqrt(np.sum(np.abs(w) ** 2, axis=0))
-    order = np.argsort(-norms, kind="stable")
-    norms = norms[order]
-    w = w[:, order]
-    v = v[:, order]
+        x = _sweeps(x, rows, cols, zero_col_sq, max_sweeps)
+    w = x[:, :cols, :rows]
+    norms = np.sqrt(_sum_sq(w))
+    order = np.argsort(-norms, axis=1, kind="stable")
+    norms = np.take_along_axis(norms, order, axis=1)
+    w = np.take_along_axis(w, order[:, :, None], axis=1)
+    v = np.take_along_axis(x[:, :cols, rows:], order[:, :, None], axis=1)
     # frozen numerically-zero columns hold rounding junk: their directions
     # are completed orthonormally instead of normalized
-    significant = norms > math.sqrt(zero_col_sq)
-    u = np.zeros((rows, cols), dtype=dtype)
-    filled = []
+    significant = norms > np.sqrt(zero_col_sq)[:, None]
+    u = (w / np.where(significant, norms, np.inf)[:, :, None]).transpose(0, 2, 1)
+    _orthonormal_completion(u, significant)
+    return u, norms, v.transpose(0, 2, 1)
+
+
+def _sum_sq(w: np.ndarray) -> np.ndarray:
+    """Squared 2-norms along the last axis."""
+    if np.iscomplexobj(w):
+        w = w.view(np.float64)
+    return np.einsum("...i,...i->...", w, w)
+
+
+def _sweeps(x, rows, cols, zero_col_sq, max_sweeps):
+    """Jacobi sweeps until every matrix of the stack has orthogonal columns.
+
+    Each sweep is m - 1 rounds; a round rotates every disjoint column pair
+    of every live matrix at once. A matrix whose sweep rotated nothing has
+    converged and leaves the live set.
+    """
+    batch, m, width = x.shape
+    shift = _round_robin(m)
+    done = np.empty_like(x)
+    live = np.arange(batch)
+    examined = 3 * rows * (cols // 2)
+    rotation = 4 * rows + 4 * cols
+    complex_field = np.iscomplexobj(x)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for _ in range(max_sweeps):
+            if not len(live):
+                return done
+            zero_sq = zero_col_sq[live, None]
+            rotated = np.zeros(len(live), dtype=bool)
+            rot = np.empty((len(live), m // 2, 2, 2), dtype=x.dtype)
+            for _ in range(m - 1):
+                w = x[:, :, :rows]
+                gram = _sum_sq(w)
+                app, aqq = gram[:, 0::2], gram[:, 1::2]
+                wp = w[:, 0::2].conj() if complex_field else w[:, 0::2]
+                apq = np.einsum("...i,...i->...", wp, w[:, 1::2])
+                mag = np.abs(apq)
+                norm = np.sqrt(gram)
+                active = (np.minimum(app, aqq) > zero_sq) & (mag > _SVD_ORTH_TOL * norm[:, 0::2] * norm[:, 1::2])
+                count = int(np.count_nonzero(active))
+                add_multiplies(examined * len(live) + rotation * count)
+                if count:
+                    rotated |= active.any(axis=1)
+                    # tan of the rotation angle is tau * |apq|, its phase apq/|apq|
+                    d = aqq - app
+                    tau = np.copysign(2.0, d) / (np.abs(d) + np.hypot(d, 2.0 * mag))
+                    tau = np.where(active, tau, 0.0)
+                    t = tau * mag
+                    cs = 1.0 / np.sqrt(1.0 + t * t)
+                    sn = cs * tau * apq
+                    rot[..., 0, 0] = rot[..., 1, 1] = cs
+                    rot[..., 1, 0] = sn
+                    rot[..., 0, 1] = -sn.conj() if complex_field else -sn
+                    x = np.matmul(rot, x.reshape(len(live), m // 2, 2, width)).reshape(len(live), m, width)
+                x = x[:, shift]
+            done[live[~rotated]] = x[~rotated]
+            live, x = live[rotated], x[rotated]
+    if len(live):
+        raise NoConvergence(f"jacobi svd: not orthogonal after {max_sweeps} sweeps")
+    return done
+
+
+def _orthonormal_completion(u: np.ndarray, significant: np.ndarray) -> None:
+    """Fill the non-significant (trailing) columns of a u stack in place.
+
+    Each gets the first standard basis vector whose residual against the
+    columns already filled is long enough, orthogonalized twice.
+    """
+    rows, cols = u.shape[1:]
     for j in range(cols):
-        if significant[j]:
-            u[:, j] = w[:, j] / norms[j]
-            filled.append(j)
-    for j in range(cols):
-        if significant[j]:
+        need = np.nonzero(~significant[:, j])[0]
+        if not len(need):
             continue
-        u[:, j] = _orthonormal_completion(u, filled, rows, dtype)
-        filled.append(j)
-    return SvdResult(u=u, s=norms, v=v)
-
-
-def _orthonormal_completion(u, filled, rows, dtype):
-    """A unit vector orthogonal to the already-filled columns of u."""
-    for cand in range(rows):
-        vec = np.zeros(rows, dtype=dtype)
-        vec[cand] = 1.0
-        for j in filled:
-            vec -= np.vdot(u[:, j], vec) * u[:, j]
-        nrm = float(np.linalg.norm(vec))
-        if nrm > 0.5 / math.sqrt(rows):
-            return vec / nrm
-    raise NoConvergence("orthonormal completion failed")  # unreachable for rows >= cols
+        filled = u[need]
+        # column c of resid is e_c minus its projection onto filled columns
+        resid = np.eye(rows, dtype=u.dtype) - filled @ filled.conj().transpose(0, 2, 1)
+        cand = np.argmax(np.linalg.norm(resid, axis=1) > 0.5 / math.sqrt(rows), axis=1)
+        vec = resid[np.arange(len(need)), :, cand]
+        vec = vec - np.einsum("nrk,nk->nr", filled, np.einsum("nrk,nr->nk", filled.conj(), vec))
+        u[need, :, j] = vec / np.linalg.norm(vec, axis=1, keepdims=True)
 
 
 def rank1_approx(a):
     """Best rank-1 approximation a ~ outer(u, conj(v)) (Eckart-Young).
 
     Returns (u, v) with u = s_1 * U[:, 0] and v = V[:, 0]; both zero vectors
-    for a zero matrix.
+    for a zero matrix. A stack (batch, rows, cols) gives (batch, rows) and
+    (batch, cols) stacks from one batched SVD.
     """
-    a = np.asarray(a)
     res = svd(a)
-    if res.s[0] == 0.0:
-        return np.zeros(a.shape[0], dtype=res.u.dtype), np.zeros(a.shape[1], dtype=res.v.dtype)
-    return res.s[0] * res.u[:, 0], res.v[:, 0].copy()
+    s1 = res.s[..., :1]
+    u = np.where(s1 == 0.0, 0.0, s1 * res.u[..., 0])
+    v = np.where(s1 == 0.0, 0.0, res.v[..., 0])
+    return u, v
 
 
 def cond_estimate(a) -> float:

@@ -4,8 +4,10 @@ Reshape A into the 4-D tensor At[l, j, k, i] = A[l*b + j, k*b + i]. A member
 of M(b, n) has every (j, k) slice At[:, j, k, :] equal to an outer product,
 so the squared-distance objective splits into b * (n/b) independent rank-1
 approximation problems, each solved optimally by SVD truncation
-(Eckart-Young). Reassembling the per-slice vectors gives the factors:
-Ltilde_j[l, k] = u_jk[l] and R_k[j, i] = conj(v_jk)[i].
+(Eckart-Young). All slices are solved together: they form one
+(b * (n/b), n/b, b) stack for a single batched Jacobi SVD. Reassembling the
+per-slice vectors gives the factors: Ltilde_j[l, k] = u_jk[l] and
+R_k[j, i] = conj(v_jk)[i].
 
 The per-slice phase is gauged by making the largest-magnitude entry of each
 v_jk real and positive, which makes projections bit-reproducible.
@@ -21,7 +23,6 @@ import numpy as np
 from .core import MonarchMatrix
 from .errors import BadBlocking, IndexOutOfRange
 from .numerics import frobenius, rank1_approx, svd
-from .parallel import parallel_map
 from .structured import BlockDiagMatrix
 
 
@@ -61,60 +62,47 @@ def slice_view(a, b: int, j: int, k: int) -> np.ndarray:
     return a.reshape(q, b, q, b)[:, j, k, :].copy()
 
 
-def project(a, b: int | None = None, threads: int = 1):
+def project(a, b: int | None = None):
     """Closest Monarch matrix in Frobenius norm, with a residual report.
 
-    Returns (MonarchMatrix, ProjectionReport). Slices are independent, so
-    the per-slice work may run on a thread pool without changing results.
+    Returns (MonarchMatrix, ProjectionReport). All b * (n/b) slices go to
+    rank1_approx as one stack, so the rank-1 solves share one batched SVD.
     """
     a = np.asarray(a)
     b = _check_square_blocking(a, b)
-    n = a.shape[0]
-    q = n // b
-    four_d = a.reshape(q, b, q, b)
-    dtype = np.complex128 if np.iscomplexobj(a) else np.float64
-
-    def solve_slice(jk):
-        j, k = jk
-        piece = np.ascontiguousarray(four_d[:, j, k, :])
-        u, v = rank1_approx(piece)
-        if np.any(v != 0):
-            top = int(np.argmax(np.abs(v)))
-            phase = np.conj(v[top] / abs(v[top]))
-            v = v * phase
-            u = u * phase
-        resid = frobenius(piece - np.multiply.outer(u, np.conj(v)))
-        return u, v, resid
-
-    results = parallel_map(solve_slice, [(j, k) for j in range(b) for k in range(q)], threads)
-
-    ltilde = np.zeros((b, q, q), dtype=dtype)
-    rblocks = np.zeros((q, b, b), dtype=dtype)
-    per_slice = np.zeros((b, q))
-    for (j, k), (u, v, resid) in zip([(j, k) for j in range(b) for k in range(q)], results):
-        ltilde[j, :, k] = u
-        rblocks[k, j, :] = np.conj(v)
-        per_slice[j, k] = resid
-    m = MonarchMatrix(ltilde=BlockDiagMatrix(ltilde), r=BlockDiagMatrix(rblocks))
-    residual = float(np.sqrt(np.sum(per_slice**2)))
+    q = a.shape[0] // b
+    slices = _slice_stack(a, b)
+    u, v = rank1_approx(slices)
+    # gauge: the largest-magnitude entry of each nonzero v becomes real positive
+    # (a zero v comes with a zero u, which any phase leaves zero)
+    top = np.take_along_axis(v, np.argmax(np.abs(v), axis=1)[:, None], axis=1)
+    phase = np.conj(top) / np.where(top == 0, 1.0, np.abs(top))
+    u, v = u * phase, v * phase
+    per_slice = np.linalg.norm(slices - u[:, :, None] * np.conj(v)[:, None, :], axis=(1, 2)).reshape(b, q)
+    m = MonarchMatrix(
+        ltilde=BlockDiagMatrix(np.ascontiguousarray(u.reshape(b, q, q).transpose(0, 2, 1))),
+        r=BlockDiagMatrix(np.ascontiguousarray(np.conj(v).reshape(b, q, b).transpose(1, 0, 2))),
+    )
     report = ProjectionReport(
         input_norm=frobenius(a),
-        residual=residual,
+        residual=float(np.sqrt(np.sum(per_slice**2))),
         per_slice_residuals=per_slice,
         block_size=b,
     )
     return m, report
 
 
+def _slice_stack(a: np.ndarray, b: int) -> np.ndarray:
+    """All slices as a (b * (n/b), n/b, b) stack, slice (j, k) at j * (n/b) + k."""
+    q = a.shape[0] // b
+    return a.reshape(q, b, q, b).transpose(1, 2, 0, 3).reshape(b * q, q, b)
+
+
 def slice_singular_ratios(a, b: int) -> np.ndarray:
     """sigma_2 / sigma_1 per slice (0 where sigma_1 = 0): the rank-1 test."""
     a = np.asarray(a)
     b = _check_square_blocking(a, b)
-    q = a.shape[0] // b
-    ratios = np.zeros((b, q))
-    for j in range(b):
-        for k in range(q):
-            s = svd(slice_view(a, b, j, k)).s
-            if len(s) > 1 and s[0] > 0:
-                ratios[j, k] = s[1] / s[0]
-    return ratios
+    s = svd(_slice_stack(a, b)).s
+    with np.errstate(invalid="ignore"):
+        ratios = np.where(s[:, 0] > 0, s[:, 1] / s[:, 0], 0.0)
+    return ratios.reshape(b, a.shape[0] // b)

@@ -122,6 +122,32 @@ class TestProjectCommand:
         assert run("project", "--in", str(tmp_path / "nope.dmat"), "--b", "4",
                    "--out", str(tmp_path / "o.mon")) == 3
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_entry_rejected_by_reader(self, tmp_path, capsys, bad):
+        # the file reader refuses non-finite values (exit 3) before any solver runs
+        src = tmp_path / "bad.dmat"
+        values = ["1.0"] * 16
+        values[6] = bad
+        src.write_text("dmat 4 4 real\n" + " ".join(values) + "\n")
+        out = tmp_path / "o.mon"
+        assert run("project", "--in", str(src), "--b", "2", "--out", str(out)) == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dense_overflow_exits_2(self, tmp_path, capsys):
+        # finite factors whose dense product overflows reach the solver as inf
+        m = random_monarch(16, 4, seed=2)
+        m.ltilde.blocks[:] *= 1e200
+        m.r.blocks[:] *= 1e200
+        src = tmp_path / "big.mon"
+        io.write_mon(src, m)
+        out = tmp_path / "o.mon"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run("project", "--in", str(src), "--b", "4", "--out", str(out))
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFactorizeCommand:
     def test_constructed_instance(self, tmp_path, capsys):

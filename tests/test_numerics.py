@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from monarch import numerics as nm
-from monarch.errors import DefectiveMatrix, DimensionMismatch, SingularMatrix
+from monarch.errors import DefectiveMatrix, DimensionMismatch, MonarchError, NoConvergence, SingularMatrix
 
 
 def naive_matmul(a, b):
@@ -147,6 +147,25 @@ class TestSvd:
         recon = res.u @ np.diag(res.s) @ res.v.conj().T
         assert np.linalg.norm(a - recon) <= 1e-10 * np.linalg.norm(a)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 5), (2, 6, 3), (5, 1), (1, 5)])
+    def test_non_finite_entry_raises(self, bad, shape):
+        a = np.ones(shape)
+        a.flat[3] = bad
+        with pytest.raises(NoConvergence) as exc:
+            nm.svd(a)
+        assert isinstance(exc.value, MonarchError)
+        assert "non-finite" in str(exc.value)
+
+    def test_sweep_budget_exhausted(self):
+        a = np.random.default_rng(17).standard_normal((6, 6))
+        with pytest.raises(NoConvergence):
+            nm.svd(a, max_sweeps=1)
+
+    def test_rejects_vector(self):
+        with pytest.raises(DimensionMismatch):
+            nm.svd(np.ones(3))
+
 
 class TestRank1Approx:
     def test_dominant_pair(self):
@@ -171,6 +190,17 @@ class TestRank1Approx:
         resid_sq = np.linalg.norm(a - np.multiply.outer(u, np.conj(v))) ** 2
         tail = float(np.sum(np.linalg.svd(a, compute_uv=False)[1:] ** 2))
         assert abs(resid_sq - tail) <= 1e-9 * tail
+
+    def test_stack(self):
+        rng = np.random.default_rng(13)
+        stack = rng.standard_normal((3, 4, 5))
+        stack[1] = 0.0
+        u, v = nm.rank1_approx(stack)
+        assert u.shape == (3, 4) and v.shape == (3, 5)
+        assert not u[1].any() and not v[1].any()
+        for i in (0, 2):
+            ui, vi = nm.rank1_approx(stack[i])
+            assert np.allclose(np.multiply.outer(u[i], v[i]), np.multiply.outer(ui, vi), atol=1e-12)
 
     def test_beats_random_candidates(self):
         rng = np.random.default_rng(12)
