@@ -9,7 +9,6 @@ printed with 17 significant digits.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 
@@ -24,6 +23,7 @@ from .core import (
     product_to_dense,
     random_mm_star,
     random_monarch,
+    resolve_block_size,
 )
 from .errors import (
     BadBlocking,
@@ -38,7 +38,7 @@ from .factorization import assumption1_check, factorize_mm_star
 from .indexing import permutation_matrix
 from .parallel import resolve_threads
 from .projection import project, slice_singular_ratios
-from .structured import bd_membership, db_membership
+from .structured import bd_off_support, db_off_support
 
 EXIT_OK = 0
 EXIT_PREDICATE_FALSE = 1
@@ -163,12 +163,9 @@ def cmd_matvec(args) -> int:
 
 def _bench_block_size(policy: str, n: int) -> int:
     if policy == "sqrt":
-        root = math.isqrt(n)
-        if root * root != n:
-            raise BadBlocking(f"sqrt policy needs square n, got {n}")
-        return root
+        return resolve_block_size(n)
     if policy.startswith("fixed:"):
-        return int(policy.split(":", 1)[1])
+        return resolve_block_size(n, int(policy.split(":", 1)[1]))
     raise BadBlocking(f"unknown --b-policy {policy!r}")
 
 
@@ -180,8 +177,6 @@ def cmd_bench(args) -> int:
     print("n b dense_ms monarch_ms speedup dense_flops monarch_flops")
     for n in sizes:
         b = _bench_block_size(args.b_policy, n)
-        if n % b or not 1 < b < n:
-            raise BadBlocking(f"block size {b} invalid for n={n}")
         m = random_monarch(n, b, seed=args.seed)
         dense = np.random.default_rng(args.seed).standard_normal((n, n))
         x = np.random.default_rng(args.seed + 1).standard_normal(n)
@@ -209,11 +204,12 @@ def cmd_verify(args) -> int:
         b_cols = args.b_cols or args.b
         if not b_rows or not b_cols:
             raise BadBlocking("verify bd/db needs --b or --b-rows/--b-cols")
-        member = bd_membership(dense, b_rows, b_cols) if args.cls == "bd" else db_membership(dense, b_rows, b_cols)
-        if member:
+        off_support = bd_off_support if args.cls == "bd" else db_off_support
+        violations = np.argwhere(off_support(dense.shape, b_rows, b_cols) & (dense != 0))
+        if not len(violations):
             print(f"{args.cls} membership: pass")
             return EXIT_OK
-        i, j = _first_violation(dense, args.cls, b_rows, b_cols)
+        i, j = violations[0]  # argwhere is row-major: the first violating entry
         print(f"{args.cls} membership: fail at entry ({i}, {j})")
         return EXIT_PREDICATE_FALSE
     # monarch-slices: every slice of the 4-D reshape must be rank 1
@@ -228,22 +224,6 @@ def cmd_verify(args) -> int:
     j, k = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
     print(f"monarch-slices: fail at slice (j={j}, k={k}), sigma2/sigma1 {fmt(worst)}")
     return EXIT_PREDICATE_FALSE
-
-
-def _first_violation(dense, cls, b_rows, b_cols):
-    n_rows, n_cols = dense.shape
-    for i in range(n_rows):
-        for j in range(n_cols):
-            if dense[i, j] == 0:
-                continue
-            if cls == "bd":
-                bad = i // b_rows != j // b_cols
-            else:
-                i0, j0 = i % b_rows, j % b_cols
-                bad = (i0 % b_cols != j0) if b_cols <= b_rows else (j0 % b_rows != i0)
-            if bad:
-                return i, j
-    return -1, -1
 
 
 def build_parser() -> argparse.ArgumentParser:

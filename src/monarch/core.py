@@ -10,22 +10,22 @@ blocks of size b). Entrywise,
     M[l*b + j, k*b + i] = Ltilde_j[l, k] * R_k[j, i],
 
 so the 4-D reshape of M consists of b * (n/b) rank-1 slices. A matvec costs
-exactly n*b + n**2/b scalar multiplies (two batched block stages, two free
-permutations), and the parameter count is n**2/b + n*b; both reduce to
-2*n*sqrt(n) at the canonical block size b = sqrt(n).
+exactly n*b + n**2/b scalar multiplies (two batched block stages; each
+permutation is a free reshape-transpose), and the parameter count is
+n**2/b + n*b; both reduce to 2*n*sqrt(n) at the canonical block size b = sqrt(n).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics
 from .counting import add_multiplies
 from .errors import BadBlocking, DimensionMismatch
-from .indexing import BlockPermutation, permutation_matrix, permute_vector
+from .indexing import BlockPermutation, permutation_matrix
 from .numerics import COMPLEX, REAL, cond_estimate, dtype_for
 from .structured import BlockDiagMatrix, bd_matvec, bd_matvec_adjoint
 
@@ -34,11 +34,22 @@ MSTAR_M = "mstar_m"
 HIERARCHY = "hierarchy"
 
 
+def resolve_block_size(n: int, b: int | None = None) -> int:
+    """The Monarch blocking rule: b defaults to sqrt(n), and b | n, 1 < b < n."""
+    if b is None:
+        root = math.isqrt(n)
+        if root * root != n:
+            raise BadBlocking(f"n={n} is not a perfect square; pass b explicitly")
+        b = root
+    if n % b != 0 or not 1 < b < n:
+        raise BadBlocking(f"need b | n and 1 < b < n, got b={b}, n={n}")
+    return b
+
+
 @dataclass
 class MonarchMatrix:
     ltilde: BlockDiagMatrix  # BD(n/b, n): b blocks of (n/b) x (n/b)
     r: BlockDiagMatrix  # BD(b, n): n/b blocks of b x b
-    perm: BlockPermutation = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (self.ltilde.is_square_blocked and self.r.is_square_blocked):
@@ -50,10 +61,7 @@ class MonarchMatrix:
                 f"inconsistent factors: ltilde {self.ltilde.num_blocks} x "
                 f"{self.ltilde.block_rows}, r {self.r.num_blocks} x {self.r.block_rows}"
             )
-        n = b * q
-        if not 1 < b < n:
-            raise BadBlocking(f"block size must satisfy 1 < b < n, got b={b}, n={n}")
-        self.perm = BlockPermutation(b, n)
+        resolve_block_size(b * q, b)
 
     @property
     def n(self) -> int:
@@ -78,14 +86,16 @@ class MonarchMatrix:
 
 
 def monarch_matvec(m: MonarchMatrix, x) -> np.ndarray:
-    """P.T(Ltilde(P(R x))): two batched block stages and two permutations."""
+    """P.T(Ltilde(P(R x))): two batched block stages.
+
+    P is a reshape to (n/b, b) and a transpose; P.T reshapes to (b, n/b).
+    """
     x = np.asarray(x)
     if x.shape != (m.n,):
         raise DimensionMismatch(f"vector length {x.shape} != {m.n}")
-    y = bd_matvec(m.r, x)
-    y = permute_vector(m.perm, y)
-    z = bd_matvec(m.ltilde, y)
-    return permute_vector(m.perm.inverse(), z)
+    n, b = m.n, m.b
+    y = bd_matvec(m.r, x).reshape(n // b, b).T.reshape(n)
+    return bd_matvec(m.ltilde, y).reshape(b, n // b).T.reshape(n)
 
 
 def monarch_matvec_adjoint(m: MonarchMatrix, x) -> np.ndarray:
@@ -93,10 +103,9 @@ def monarch_matvec_adjoint(m: MonarchMatrix, x) -> np.ndarray:
     x = np.asarray(x)
     if x.shape != (m.n,):
         raise DimensionMismatch(f"vector length {x.shape} != {m.n}")
-    y = permute_vector(m.perm, x)
-    y = bd_matvec_adjoint(m.ltilde, y)
-    y = permute_vector(m.perm.inverse(), y)
-    return bd_matvec_adjoint(m.r, y)
+    n, b = m.n, m.b
+    y = bd_matvec_adjoint(m.ltilde, x.reshape(n // b, b).T.reshape(n))
+    return bd_matvec_adjoint(m.r, y.reshape(b, n // b).T.reshape(n))
 
 
 def monarch_to_dense(m: MonarchMatrix) -> np.ndarray:
@@ -122,7 +131,7 @@ def monarch_flop_count(m: MonarchMatrix) -> int:
 
 def monarch_dense_oracle(m: MonarchMatrix) -> np.ndarray:
     """Dense form computed the slow way, P.T L P R as explicit matrices."""
-    p = permutation_matrix(m.perm, dtype=m.ltilde.blocks.dtype)
+    p = permutation_matrix(BlockPermutation(m.b, m.n), dtype=m.ltilde.blocks.dtype)
     return p.T @ m.ltilde.to_dense() @ p @ m.r.to_dense()
 
 
@@ -274,17 +283,6 @@ def _nonzero_entry_blocks(rng, count, size, field):
     return BlockDiagMatrix(blocks)
 
 
-def _resolve_block_size(n: int, b: int | None) -> int:
-    if b is None:
-        root = math.isqrt(n)
-        if root * root != n:
-            raise BadBlocking(f"n={n} is not a perfect square; pass b explicitly")
-        b = root
-    if n % b != 0 or not 1 < b < n:
-        raise BadBlocking(f"need b | n and 1 < b < n, got b={b}, n={n}")
-    return b
-
-
 def random_monarch(
     n: int,
     b: int | None = None,
@@ -298,7 +296,7 @@ def random_monarch(
     R-block entries bounded away from zero and well-conditioned Ltilde
     blocks. Deterministic under seed.
     """
-    b = _resolve_block_size(n, b)
+    b = resolve_block_size(n, b)
     q = n // b
     rng = np.random.default_rng(seed)
     if constraints == ASSUMPTION1:
@@ -327,7 +325,7 @@ def random_mm_star(
     is invertible and the factorization algorithm's precondition holds. The
     two returned factors are (L1, R) and (L2*, I).
     """
-    b = _resolve_block_size(n, b)
+    b = resolve_block_size(n, b)
     q = n // b
     rng = np.random.default_rng(seed)
     if constraints == ASSUMPTION1:

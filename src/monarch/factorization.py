@@ -22,10 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import resolve_block_size
+from .counting import add_multiplies
 from .errors import BadBlocking, DimensionMismatch, SimDiagFailed, SingularBlock
 from .errors import DefectiveMatrix, NoConvergence, SingularMatrix
-from .indexing import BlockPermutation, permute_cols, permute_rows
-from .numerics import eig, frobenius, lu_invert, matmul, svd
+from .numerics import eig, frobenius, lu_invert, svd
 from .parallel import parallel_map
 from .structured import BlockDiagMatrix, DiagBlockMatrix, db_to_bd
 
@@ -62,19 +63,25 @@ class MMStarFactorization:
         return db_to_bd(self.middle)
 
     def to_dense(self) -> np.ndarray:
-        """(P.T L1 P) R (P.T L2 P) = P.T (L1 middle L2) P, assembled blockwise."""
-        q = self.n // self.b
-        mt = np.zeros((self.n, self.n), dtype=np.complex128)
-        for i in range(self.b):
-            for j in range(self.b):
-                block = (self.l1.blocks[i] * self.middle.entries[i, j]) @ self.l2.blocks[j]
-                mt[i * q : (i + 1) * q, j * q : (j + 1) * q] = block
-        perm = BlockPermutation(self.n // self.b, self.n)
-        return permute_cols(perm, permute_rows(perm, mt))
+        """(P.T L1 P) R (P.T L2 P) = P.T (L1 middle L2) P.
+
+        Block (i, j) of the middle product is A_i D_ij C_j; conjugating the
+        (b, b, n/b, n/b) grid by P is a transpose of its 4-D index.
+        """
+        d = self.middle.entries
+        blocks = (self.l1.blocks[:, None] * d[:, :, None, :]) @ self.l2.blocks[None]
+        return blocks.transpose(2, 0, 3, 1).reshape(self.n, self.n)
 
 
-def _offdiag_mass(t: np.ndarray) -> float:
-    return frobenius(t - np.diag(np.diag(t)))
+def _offdiag_mass(t: np.ndarray):
+    """Frobenius norm of the off-diagonal part of each matrix in a (..., k, k) stack."""
+    return np.linalg.norm(np.where(np.eye(t.shape[-1], dtype=bool), 0, t), axis=(-2, -1))
+
+
+def _offdiag_ratio(t: np.ndarray, g: np.ndarray) -> float:
+    """Worst off-diagonal mass of t relative to the norm of g, over a stack."""
+    norms = np.maximum(np.linalg.norm(g, axis=(-2, -1)), 1e-300)
+    return float(np.max(_offdiag_mass(t) / norms))
 
 
 def _cluster_order(lam: np.ndarray):
@@ -154,17 +161,14 @@ def simultaneous_diagonalize(family: list[np.ndarray]) -> SimDiagResult:
             new_sizes.extend(sub_sizes)
             start += s
         sizes = new_sizes
-    qinv = lu_invert(q)
-    residual = 0.0
-    for g in mats:
-        t = q @ g @ qinv
-        residual = max(residual, _offdiag_mass(t) / max(frobenius(g), 1e-300))
+    stack = np.asarray(mats)
+    residual = _offdiag_ratio(q @ stack @ lu_invert(q), stack)
     if residual > SIMDIAG_RESIDUAL_RTOL:
         raise SimDiagFailed(f"off-diagonal residual {residual:.3e} above {SIMDIAG_RESIDUAL_RTOL}")
     return SimDiagResult(q=q, diag_residual=residual)
 
 
-def _fast_common_diagonalizer(family: list[np.ndarray]) -> SimDiagResult | None:
+def _fast_common_diagonalizer(family: np.ndarray) -> SimDiagResult | None:
     """Diagonalize one random linear combination; works when its spectrum is simple.
 
     Shortcut over the staged procedure: all family members share an
@@ -173,10 +177,9 @@ def _fast_common_diagonalizer(family: list[np.ndarray]) -> SimDiagResult | None:
     residual failure.
     """
     rng = np.random.default_rng(_FAST_PATH_SEED)
-    coeffs = rng.standard_normal(len(family))
-    combo = sum(c * g for c, g in zip(coeffs, family))
+    combo = np.tensordot(rng.standard_normal(len(family)), family, axes=1)
     try:
-        res = eig(np.asarray(combo).astype(np.complex128))
+        res = eig(combo.astype(np.complex128))
     except (NoConvergence, DefectiveMatrix):
         return None
     lam = res.lam
@@ -188,38 +191,38 @@ def _fast_common_diagonalizer(family: list[np.ndarray]) -> SimDiagResult | None:
         q = lu_invert(res.q)
     except SingularMatrix:
         return None
-    residual = 0.0
-    qinv = res.q
-    for g in family:
-        t = q @ np.asarray(g) @ qinv
-        residual = max(residual, _offdiag_mass(t) / max(frobenius(g), 1e-300))
+    residual = _offdiag_ratio(q @ family @ res.q, family)
     if residual > SIMDIAG_RESIDUAL_RTOL:
         return None
     return SimDiagResult(q=q, diag_residual=residual)
 
 
 def _permuted_blocks(m: np.ndarray, b: int):
-    """The b x b grid of (n/b)-sized blocks of P_(b,n) @ m @ P_(b,n).T."""
+    """The b x b grid of (n/b)-sized blocks of P_(b,n) @ m @ P_(b,n).T.
+
+    Block (i, j) entry (l, k) is m[l*b + i, k*b + j]: a transpose of the
+    4-D reshape, so no permuted copy of m is made.
+    """
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise BadBlocking(f"expected a square matrix, got {m.shape}")
     n = m.shape[0]
-    if n % b != 0 or not 1 < b < n:
-        raise BadBlocking(f"need b | n and 1 < b < n, got b={b}, n={n}")
-    perm = BlockPermutation(b, n)
-    mt = permute_cols(perm, permute_rows(perm, m))
+    b = resolve_block_size(n, b)
     q = n // b
-    return mt.reshape(b, q, b, q).transpose(0, 2, 1, 3)
+    return m.reshape(q, b, q, b).transpose(1, 3, 0, 2)
 
 
 def factorize_mm_star(m, b: int, threads: int = 1) -> MMStarFactorization:
     """Recover Monarch factors of an MM*(b, n) matrix satisfying assumption 1.
 
-    Raises SingularBlock when a permuted block is not invertible (assumption
-    1 fails, e.g. for the identity), SimDiagFailed when no common eigenbasis
-    exists to tolerance (the input is not in MM*).
+    Raises NoConvergence on a non-finite entry, SingularBlock when a permuted
+    block is not invertible (assumption 1 fails, e.g. for the identity),
+    SimDiagFailed when no common eigenbasis exists to tolerance (the input is
+    not in MM*).
     """
     m = np.asarray(m)
     blocks = _permuted_blocks(m.astype(np.complex128), b)
+    if not np.all(np.isfinite(blocks)):
+        raise NoConvergence("factorize_mm_star: input has a non-finite entry")
     n = m.shape[0]
     q = n // b
 
@@ -233,15 +236,16 @@ def factorize_mm_star(m, b: int, threads: int = 1) -> MMStarFactorization:
                 f"(nonzero middle-factor entries, invertible blocks) fails: {exc}"
             ) from exc
 
-    inv_col0 = parallel_map(invert_labeled, [((i, 0), blocks[i, 0]) for i in range(b)], threads)
-    inv_row0 = parallel_map(invert_labeled, [((0, j), blocks[0, j]) for j in range(b)], threads)
+    inv_col0 = np.stack(parallel_map(invert_labeled, [((i, 0), blocks[i, 0]) for i in range(b)], threads))
+    inv_row0 = np.stack(parallel_map(invert_labeled, [((0, j), blocks[0, j]) for j in range(b)], threads))
 
-    def form_f(ij):
-        i, j = ij
-        return matmul(matmul(inv_col0[i], blocks[i, j]), matmul(inv_row0[j], blocks[0, 0]))
-
-    pairs = [(i, j) for i in range(b) for j in range(b)]
-    family = parallel_map(form_f, pairs, threads)
+    # family F(i, j) = Mt_i0^-1 Mt_ij (Mt_0j^-1 Mt_00), i-major
+    left = inv_col0[:, None] @ blocks
+    add_multiplies(b * b * q**3)
+    right = inv_row0 @ blocks[0, 0]
+    add_multiplies(b * q**3)
+    family = (left @ right[None]).reshape(b * b, q, q)
+    add_multiplies(b * b * q**3)
 
     sim = _fast_common_diagonalizer(family)
     if sim is None:
@@ -249,20 +253,12 @@ def factorize_mm_star(m, b: int, threads: int = 1) -> MMStarFactorization:
     c0 = sim.q
     c0_inv = lu_invert(c0)
 
-    a_blocks = np.stack([blocks[i, 0] @ c0_inv for i in range(b)])
-    a0_inv = lu_invert(a_blocks[0])
-    c_blocks = np.stack([c0] + [a0_inv @ blocks[0, j] for j in range(1, b)])
-
-    entries = np.zeros((b, b, q), dtype=np.complex128)
-    worst_offdiag = sim.diag_residual
-    a_invs = [lu_invert(a_blocks[i]) for i in range(b)]
-    c_invs = [lu_invert(c_blocks[j]) for j in range(b)]
-    for i in range(b):
-        for j in range(b):
-            d = a_invs[i] @ blocks[i, j] @ c_invs[j]
-            norm = max(frobenius(d), 1e-300)
-            worst_offdiag = max(worst_offdiag, _offdiag_mass(d) / norm)
-            entries[i, j] = np.diag(d)
+    a_blocks = blocks[:, 0] @ c0_inv
+    c_blocks = np.concatenate([c0[None], lu_invert(a_blocks[0]) @ blocks[0, 1:]])
+    a_invs = np.stack([lu_invert(a) for a in a_blocks])
+    c_invs = np.stack([lu_invert(c) for c in c_blocks])
+    d = a_invs[:, None] @ blocks @ c_invs[None]
+    worst_offdiag = max(sim.diag_residual, _offdiag_ratio(d, d))
     if worst_offdiag > 1e-6:
         raise SimDiagFailed(
             f"middle blocks are not diagonal (off-diagonal ratio {worst_offdiag:.3e}); "
@@ -271,7 +267,7 @@ def factorize_mm_star(m, b: int, threads: int = 1) -> MMStarFactorization:
     result = MMStarFactorization(
         l1=BlockDiagMatrix(a_blocks),
         l2=BlockDiagMatrix(c_blocks),
-        middle=DiagBlockMatrix(b_row=q, b_col=q, entries=entries),
+        middle=DiagBlockMatrix(b_row=q, b_col=q, entries=np.diagonal(d, axis1=2, axis2=3).copy()),
         b=b,
         n=n,
         diag_residual=worst_offdiag,

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import MonarchMatrix
-from .errors import ParseError
+from .core import MonarchMatrix, resolve_block_size
+from .errors import BadBlocking, ParseError
 from .structured import BlockDiagMatrix
 
 _VALUES_PER_LINE = 8
@@ -107,8 +107,7 @@ def _read_lines(path):
     return lines
 
 
-def read_dmat(path) -> np.ndarray:
-    lines = _read_lines(path)
+def _dmat_from_lines(lines, path) -> np.ndarray:
     name, rows, cols, kind = _parse_header(lines[0].split(), path)
     if name != "dmat":
         raise ParseError(f"{path}: expected dmat header, got {name!r}")
@@ -116,13 +115,14 @@ def read_dmat(path) -> np.ndarray:
     return values.reshape(rows, cols)
 
 
-def read_mon(path) -> MonarchMatrix:
-    lines = _read_lines(path)
+def _mon_from_lines(lines, path) -> MonarchMatrix:
     name, n, b, kind = _parse_header(lines[0].split(), path)
     if name != "monarch":
         raise ParseError(f"{path}: expected monarch header, got {name!r}")
-    if n % b or not 1 < b < n:
-        raise ParseError(f"{path}: invalid blocking n={n}, b={b}")
+    try:
+        resolve_block_size(n, b)
+    except BadBlocking as exc:
+        raise ParseError(f"{path}: invalid blocking n={n}, b={b}") from exc
     q = n // b
     values = _parse_values(lines[1:], b * q * q + q * b * b, kind, path)
     ltilde = values[: b * q * q].reshape(b, q, q)
@@ -130,12 +130,20 @@ def read_mon(path) -> MonarchMatrix:
     return MonarchMatrix(ltilde=BlockDiagMatrix(ltilde), r=BlockDiagMatrix(rblocks))
 
 
+def read_dmat(path) -> np.ndarray:
+    return _dmat_from_lines(_read_lines(path), path)
+
+
+def read_mon(path) -> MonarchMatrix:
+    return _mon_from_lines(_read_lines(path), path)
+
+
 def read_any(path):
     """Dispatch on the header word; returns ("dmat", ndarray) or ("monarch", MonarchMatrix)."""
     lines = _read_lines(path)
-    word = lines[0].split()[0] if lines[0].split() else ""
+    word = lines[0].split()[0]
     if word == "dmat":
-        return "dmat", read_dmat(path)
+        return "dmat", _dmat_from_lines(lines, path)
     if word == "monarch":
-        return "monarch", read_mon(path)
+        return "monarch", _mon_from_lines(lines, path)
     raise ParseError(f"{path}: unknown header {word!r}")

@@ -2,8 +2,10 @@
 
 Matrices are plain 2-D ndarrays over float64 (real field) or complex128
 (complex field). The solvers here are written out explicitly rather than
-delegated to LAPACK so that every downstream module rests on a single,
-inspectable floating-point path:
+delegated to LAPACK, so each has one inspectable floating-point path. Plain
+block products elsewhere (the apply stages, the factorization's commuting
+family and reconstruction) use np.matmul directly; matmul below serves the
+callers that want its fixed accumulation order (product_to_dense):
 
   * matmul        - fixed k-ascending accumulation order (reproducible)
   * lu_invert     - partial-pivot LU with an explicit singularity threshold

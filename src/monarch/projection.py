@@ -15,12 +15,11 @@ v_jk real and positive, which makes projections bit-reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MonarchMatrix
+from .core import MonarchMatrix, resolve_block_size
 from .errors import BadBlocking, IndexOutOfRange
 from .numerics import frobenius, rank1_approx, svd
 from .structured import BlockDiagMatrix
@@ -41,15 +40,7 @@ class ProjectionReport:
 def _check_square_blocking(a: np.ndarray, b: int | None) -> int:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise BadBlocking(f"projection needs a square matrix, got {a.shape}")
-    n = a.shape[0]
-    if b is None:
-        root = math.isqrt(n)
-        if root * root != n:
-            raise BadBlocking(f"n={n} is not a perfect square; pass b explicitly")
-        b = root
-    if n % b != 0 or not 1 < b < n:
-        raise BadBlocking(f"need b | n and 1 < b < n, got b={b}, n={n}")
-    return b
+    return resolve_block_size(a.shape[0], b)
 
 
 def slice_view(a, b: int, j: int, k: int) -> np.ndarray:

@@ -188,29 +188,35 @@ def _check_blocking(shape, b_row, b_col):
         )
 
 
-def bd_membership(a, b_row: int, b_col: int) -> bool:
-    """True iff every entry outside the diagonal-block support is exactly zero."""
-    a = np.asarray(a)
-    _check_blocking(a.shape, b_row, b_col)
-    q = a.shape[0] // b_row
-    blocks = a.reshape(q, b_row, q, b_col).transpose(0, 2, 1, 3)
-    i1, j1 = np.indices((q, q))
-    return bool(np.all(blocks[i1 != j1] == 0))
+def bd_off_support(shape, b_row: int, b_col: int) -> np.ndarray:
+    """Boolean mask of the entries outside the diagonal-block support."""
+    _check_blocking(shape, b_row, b_col)
+    n2, n1 = shape
+    return (np.arange(n2)[:, None] // b_row) != (np.arange(n1)[None, :] // b_col)
 
 
-def db_membership(a, b_row: int, b_col: int) -> bool:
-    """True iff all entries violating the wrapped-diagonal pattern are exactly zero."""
-    a = np.asarray(a)
-    n3, n2 = a.shape
+def db_off_support(shape, b_row: int, b_col: int) -> np.ndarray:
+    """Boolean mask of the entries violating the wrapped-diagonal pattern."""
+    n3, n2 = shape
     if b_row < 1 or b_col < 1 or n3 % b_row != 0 or n2 % b_col != 0:
         raise BadBlocking(f"blocks {b_row}x{b_col} do not divide shape {n3}x{n2}")
     i0 = np.arange(n3)[:, None] % b_row
     j0 = np.arange(n2)[None, :] % b_col
     if b_col <= b_row:
-        off_support = (i0 % b_col) != j0
-    else:
-        off_support = (j0 % b_row) != i0
-    return bool(np.all(a[off_support] == 0))
+        return (i0 % b_col) != j0
+    return (j0 % b_row) != i0
+
+
+def bd_membership(a, b_row: int, b_col: int) -> bool:
+    """True iff every entry outside the diagonal-block support is exactly zero."""
+    a = np.asarray(a)
+    return bool(np.all(a[bd_off_support(a.shape, b_row, b_col)] == 0))
+
+
+def db_membership(a, b_row: int, b_col: int) -> bool:
+    """True iff all entries violating the wrapped-diagonal pattern are exactly zero."""
+    a = np.asarray(a)
+    return bool(np.all(a[db_off_support(a.shape, b_row, b_col)] == 0))
 
 
 def db_to_bd(l: DiagBlockMatrix) -> BlockDiagMatrix:
@@ -255,7 +261,7 @@ def bd_matvec(r: BlockDiagMatrix, x) -> np.ndarray:
     q, b2, b1 = r.blocks.shape
     if x.shape != (q * b1,):
         raise DimensionMismatch(f"vector length {x.shape} != {q * b1}")
-    out = np.einsum("qij,qj->qi", r.blocks, x.reshape(q, b1))
+    out = np.matmul(r.blocks, x.reshape(q, b1, 1))
     add_multiplies(q * b2 * b1)
     return out.reshape(q * b2)
 
@@ -266,7 +272,8 @@ def bd_matvec_adjoint(r: BlockDiagMatrix, x) -> np.ndarray:
     q, b2, b1 = r.blocks.shape
     if x.shape != (q * b2,):
         raise DimensionMismatch(f"vector length {x.shape} != {q * b2}")
-    out = np.einsum("qij,qi->qj", np.conj(r.blocks), x.reshape(q, b2))
+    # conj(conj(x)^T B) = B* x, which conjugates two vectors instead of the blocks
+    out = np.conj(np.matmul(np.conj(x).reshape(q, 1, b2), r.blocks))
     add_multiplies(q * b2 * b1)
     return out.reshape(q * b1)
 

@@ -65,6 +65,23 @@ class TestFileFormats:
         with pytest.raises(ParseError):
             io.read_any(bad)
 
+    def test_read_any_opens_each_file_once(self, tmp_path, monkeypatch):
+        opened = []
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting_open, raising=False)
+        dmat, mon = tmp_path / "a.dmat", tmp_path / "m.mon"
+        io.write_dmat(dmat, np.eye(4))
+        io.write_mon(mon, random_monarch(16, 4, seed=0))
+        opened.clear()
+        assert io.read_any(dmat)[0] == "dmat"
+        assert opened == [dmat]
+        assert io.read_any(mon)[0] == "monarch"
+        assert opened == [dmat, mon]
+
 
 class TestGen:
     def test_hadamard_matches_sylvester(self, tmp_path):
@@ -176,6 +193,20 @@ class TestFactorizeCommand:
         assert code == 4
         assert "assumption 1" in capsys.readouterr().err
 
+    def test_dense_overflow_exits_2(self, tmp_path, capsys):
+        # finite factors whose dense product overflows reach the solver as inf
+        m = random_monarch(16, 4, seed=2)
+        m.ltilde.blocks[:] *= 1e200
+        m.r.blocks[:] *= 1e200
+        src = tmp_path / "big.mon"
+        io.write_mon(src, m)
+        prefix = tmp_path / "f"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run("factorize", "--in", str(src), "--b", "4", "--out-prefix", str(prefix))
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "f.report.txt").exists()
+
     def test_malformed_header(self, tmp_path):
         src = tmp_path / "bad.dmat"
         src.write_text("dmat x y real\n")
@@ -241,6 +272,25 @@ class TestVerifyCommand:
         assert run("verify", "--in", str(path), "--class", "bd", "--b", "2") == 1
         out = capsys.readouterr().out
         assert "fail at entry" in out
+
+    @pytest.mark.parametrize("cls", ["bd", "db"])
+    def test_first_violation_is_row_major(self, tmp_path, capsys, cls):
+        from monarch.structured import BlockDiagMatrix, DiagBlockMatrix
+
+        rng = np.random.default_rng(9)
+        if cls == "bd":
+            dense = BlockDiagMatrix(rng.uniform(0.5, 1.0, (4, 2, 2))).to_dense()
+            dense[5, 1] = dense[3, 6] = 1.0
+            outside = lambda i, j: i // 2 != j // 2
+        else:
+            dense = DiagBlockMatrix(b_row=2, b_col=2, entries=rng.uniform(0.5, 1.0, (4, 4, 2))).to_dense()
+            dense[6, 3] = dense[4, 7] = 1.0
+            outside = lambda i, j: i % 2 != j % 2
+        want = next((i, j) for i in range(8) for j in range(8) if dense[i, j] != 0 and outside(i, j))
+        path = tmp_path / "a.dmat"
+        io.write_dmat(path, dense)
+        assert run("verify", "--in", str(path), "--class", cls, "--b", "2") == 1
+        assert capsys.readouterr().out.strip() == f"{cls} membership: fail at entry {want}"
 
     def test_db_member(self, tmp_path):
         from monarch.structured import DiagBlockMatrix

@@ -5,7 +5,7 @@ import pytest
 
 from monarch.core import product_to_dense, random_mm_star
 from monarch.counting import count_multiplies
-from monarch.errors import BadBlocking, DefectiveMatrix, SimDiagFailed, SingularBlock
+from monarch.errors import BadBlocking, DefectiveMatrix, NoConvergence, SimDiagFailed, SingularBlock
 from monarch.factorization import (
     assumption1_check,
     factorize_mm_star,
@@ -147,6 +147,13 @@ class TestFactorize:
             counts[b] = tally.multiplies
         ratio = counts[4] / counts[8]
         assert 2.0 / 3.0 <= ratio <= 6.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        dense = product_to_dense(random_mm_star(16, 4, seed=1))
+        dense[3, 5] = bad
+        with pytest.raises(NoConvergence, match="non-finite"):
+            factorize_mm_star(dense, 4)
 
     def test_bad_blocking(self):
         with pytest.raises(BadBlocking):

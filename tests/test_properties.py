@@ -1,8 +1,11 @@
-"""Property tests for the batched Jacobi SVD and the projection built on it.
+"""Property tests for the batched Jacobi SVD and the projection built on it,
+and for the reshape-transpose form of P against the index-table references.
 
 Shapes, fields and degeneracies (zeroed or repeated columns) are drawn by
 hypothesis; entries come from a seeded numpy generator so every example is
-well scaled. numpy.linalg serves as the independent oracle.
+well scaled. numpy.linalg and the index-level permutation API
+(BlockPermutation, permute_rows/permute_cols, permutation_matrix) serve as
+the independent oracles.
 """
 
 import numpy as np
@@ -10,8 +13,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from monarch import numerics as nm
-from monarch.core import monarch_to_dense, random_monarch
+from monarch.core import (
+    monarch_dense_oracle,
+    monarch_matvec,
+    monarch_matvec_adjoint,
+    monarch_to_dense,
+    random_monarch,
+)
+from monarch.counting import count_multiplies
+from monarch.factorization import MMStarFactorization, _permuted_blocks
+from monarch.indexing import BlockPermutation, permutation_matrix, permute_cols, permute_rows
 from monarch.projection import project, slice_view
+from monarch.structured import BlockDiagMatrix, DiagBlockMatrix
 
 # (n, b) pairs with b | n and 1 < b < n, including slices wider than tall
 BLOCKINGS = [(4, 2), (6, 2), (6, 3), (8, 2), (8, 4), (12, 3), (12, 4), (16, 4), (16, 8), (18, 3), (32, 8)]
@@ -110,3 +123,66 @@ def test_project_idempotent_on_monarch(blocking, field, seed):
     assert np.linalg.norm(projected - dense) <= 1e-11 * np.linalg.norm(dense)
     again, _ = project(projected, b)
     assert np.linalg.norm(monarch_to_dense(again) - projected) <= 1e-11 * np.linalg.norm(dense)
+
+
+@st.composite
+def blockings(draw):
+    """(n, b) with b in {2, ..., n/2}, drawn as b and q = n/b >= 2."""
+    b = draw(st.integers(2, 8))
+    q = draw(st.integers(2, 8))
+    return b * q, b
+
+
+def _normal(rng, shape, cplx):
+    a = rng.standard_normal(shape)
+    return a + 1j * rng.standard_normal(shape) if cplx else a
+
+
+@given(blockings(), st.sampled_from(["real", "complex"]), st.integers(0, 2**32 - 1))
+def test_matvec_and_adjoint_match_table_oracle(blocking, field, seed):
+    n, b = blocking
+    m = random_monarch(n, b, seed=seed, field=field)
+    x = _normal(np.random.default_rng(seed), n, field == "complex")
+    dense = monarch_dense_oracle(m)
+    with count_multiplies() as tally:
+        y = monarch_matvec(m, x)
+    assert tally.multiplies == n * b + n * n // b
+    with count_multiplies() as tally:
+        z = monarch_matvec_adjoint(m, x)
+    assert tally.multiplies == n * b + n * n // b
+    scale = np.linalg.norm(dense) * np.linalg.norm(x)
+    assert np.linalg.norm(y - dense @ x) <= 1e-13 * scale
+    assert np.linalg.norm(z - dense.conj().T @ x) <= 1e-13 * scale
+
+
+@given(blockings(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_permuted_blocks_match_index_tables(blocking, cplx, seed):
+    n, b = blocking
+    q = n // b
+    m = _normal(np.random.default_rng(seed), (n, n), cplx)
+    perm = BlockPermutation(b, n)
+    mt = permute_cols(perm, permute_rows(perm, m))
+    want = mt.reshape(b, q, b, q).transpose(0, 2, 1, 3)
+    assert np.array_equal(_permuted_blocks(m, b), want)
+
+
+@given(blockings(), st.integers(0, 2**32 - 1))
+def test_factorization_to_dense_matches_permutation_matrices(blocking, seed):
+    n, b = blocking
+    q = n // b
+    rng = np.random.default_rng(seed)
+    l1, l2 = _normal(rng, (b, q, q), True), _normal(rng, (b, q, q), True)
+    entries = _normal(rng, (b, b, q), True)
+    fact = MMStarFactorization(
+        l1=BlockDiagMatrix(l1),
+        l2=BlockDiagMatrix(l2),
+        middle=DiagBlockMatrix(b_row=q, b_col=q, entries=entries),
+        b=b,
+        n=n,
+        diag_residual=0.0,
+        reconstruction_error=0.0,
+    )
+    grid = np.block([[l1[i] @ np.diag(entries[i, j]) @ l2[j] for j in range(b)] for i in range(b)])
+    p = permutation_matrix(BlockPermutation(b, n))
+    want = p.T @ grid @ p
+    assert np.linalg.norm(fact.to_dense() - want) <= 1e-13 * np.linalg.norm(want)
