@@ -105,24 +105,17 @@ class ButterflyFactorMatrix:
         half = self.k // 2
         if half % b or self.n % b:
             raise BadBlocking(f"block size {b} does not divide half-factor {half}")
-        q = self.n // b
-        entries = np.zeros((q, q, b), dtype=self.diagonals.dtype)
-        offsets = np.arange(b)
-        for i1 in range(q):
-            rows = i1 * b + offsets
-            t = rows // self.k
-            pr = rows % self.k
-            for j1 in range(q):
-                cols = j1 * b + offsets
-                if not np.all(cols // self.k == t):
-                    continue
-                pc = cols % self.k
-                delta = pr - pc
-                if not (np.all(delta == 0) or np.all(np.abs(delta) == half)):
-                    continue
-                entries[i1, j1] = self.diagonals[
-                    t, (pr >= half).astype(int), (pc >= half).astype(int), pr % half
-                ]
+        # entry u = v*b + o of quadrant (r, c) of factor t sits at position o
+        # of grid block (t*k/b + r*half/b + v, t*k/b + c*half/b + v)
+        factors, per = self.n // self.k, half // b
+        d = self.diagonals.reshape(factors, 2, 2, per, b)
+        entries = np.zeros((factors, 2, per, factors, 2, per, b), dtype=d.dtype)
+        t = np.arange(factors)[:, None, None, None]
+        r = np.arange(2)[:, None, None]
+        c = np.arange(2)[:, None]
+        v = np.arange(per)
+        entries[t, r, v, t, c, v] = d
+        entries = entries.reshape(self.n // b, self.n // b, b)
         return DiagBlockMatrix(b_row=b, b_col=b, entries=entries)
 
 

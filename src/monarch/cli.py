@@ -36,7 +36,6 @@ from .errors import (
 )
 from .factorization import assumption1_check, factorize_mm_star
 from .indexing import permutation_matrix
-from .parallel import resolve_threads
 from .projection import project, slice_singular_ratios
 from .structured import bd_off_support, db_off_support
 
@@ -113,7 +112,7 @@ def cmd_project(args) -> int:
 def cmd_factorize(args) -> int:
     dense = _read_dense(args.infile)
     try:
-        result = factorize_mm_star(dense, args.b, threads=resolve_threads(args.threads))
+        result = factorize_mm_star(dense, args.b)
     except (SingularBlock, SimDiagFailed) as exc:
         print(f"factorization failed: {exc}", file=sys.stderr)
         report = assumption1_check(dense, args.b)
@@ -231,8 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="monarch",
         description="Structured-matrix toolkit: generate, apply, project, factorize, verify, benchmark.",
     )
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads for factorize (0 = auto; default: MONARCH_THREADS or 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a matrix file")

@@ -26,7 +26,15 @@ class IndexOutOfRange(MonarchError):
 
 
 class SingularMatrix(MonarchError):
-    """A pivot fell below the singularity threshold during LU elimination."""
+    """A pivot fell below the singularity threshold during elimination.
+
+    index is the position of the failing matrix in its stack (0 for a
+    single matrix).
+    """
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
 class NoConvergence(MonarchError):

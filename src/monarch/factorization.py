@@ -27,7 +27,6 @@ from .counting import add_multiplies
 from .errors import BadBlocking, DimensionMismatch, SimDiagFailed, SingularBlock
 from .errors import DefectiveMatrix, NoConvergence, SingularMatrix
 from .numerics import eig, frobenius, lu_invert, svd
-from .parallel import parallel_map
 from .structured import BlockDiagMatrix, DiagBlockMatrix, db_to_bd
 
 #: final acceptance threshold on off-diagonal mass relative to each input
@@ -128,10 +127,11 @@ def simultaneous_diagonalize(family: list[np.ndarray]) -> SimDiagResult:
         q, sizes = _eig_rows(mats[0])
     except (SingularMatrix, NoConvergence) as exc:
         raise SimDiagFailed(f"first family member not diagonalizable: {exc}") from exc
+    q_inv = lu_invert(q)
     for g in mats[1:]:
         if all(s == 1 for s in sizes):
             break
-        t = q @ g @ lu_invert(q)
+        t = q @ g @ q_inv
         # off-block mass vs the current partition means no common eigenbasis
         mask = np.ones((size, size), dtype=bool)
         start = 0
@@ -142,6 +142,7 @@ def simultaneous_diagonalize(family: list[np.ndarray]) -> SimDiagResult:
             raise SimDiagFailed("family member is not block diagonal on the current clusters")
         new_sizes = []
         start = 0
+        stale = False  # q_inv no longer inverts q
         for s in sizes:
             if s == 1:
                 new_sizes.append(1)
@@ -152,17 +153,21 @@ def simultaneous_diagonalize(family: list[np.ndarray]) -> SimDiagResult:
                 # already diagonal; refine clusters by its diagonal values
                 order, sub_sizes = _cluster_order(np.diag(block))
                 q[start : start + s] = q[start + order]
+                q_inv[:, start : start + s] = q_inv[:, start + order]
             else:
                 try:
                     rows, sub_sizes = _eig_rows(block)
                 except (SingularMatrix, NoConvergence, DefectiveMatrix) as exc:
                     raise SimDiagFailed(f"cluster block not diagonalizable: {exc}") from exc
                 q[start : start + s] = rows @ q[start : start + s]
+                stale = True
             new_sizes.extend(sub_sizes)
             start += s
         sizes = new_sizes
+        if stale:
+            q_inv = lu_invert(q)
     stack = np.asarray(mats)
-    residual = _offdiag_ratio(q @ stack @ lu_invert(q), stack)
+    residual = _offdiag_ratio(q @ stack @ q_inv, stack)
     if residual > SIMDIAG_RESIDUAL_RTOL:
         raise SimDiagFailed(f"off-diagonal residual {residual:.3e} above {SIMDIAG_RESIDUAL_RTOL}")
     return SimDiagResult(q=q, diag_residual=residual)
@@ -211,7 +216,14 @@ def _permuted_blocks(m: np.ndarray, b: int):
     return m.reshape(q, b, q, b).transpose(1, 3, 0, 2)
 
 
-def factorize_mm_star(m, b: int, threads: int = 1) -> MMStarFactorization:
+def _singular_block(i: int, j: int, exc: SingularMatrix) -> SingularBlock:
+    return SingularBlock(
+        f"permuted block ({i},{j}) is singular; assumption 1 "
+        f"(nonzero middle-factor entries, invertible blocks) fails: {exc}"
+    )
+
+
+def factorize_mm_star(m, b: int) -> MMStarFactorization:
     """Recover Monarch factors of an MM*(b, n) matrix satisfying assumption 1.
 
     Raises NoConvergence on a non-finite entry, SingularBlock when a permuted
@@ -225,19 +237,14 @@ def factorize_mm_star(m, b: int, threads: int = 1) -> MMStarFactorization:
         raise NoConvergence("factorize_mm_star: input has a non-finite entry")
     n = m.shape[0]
     q = n // b
-
-    def invert_labeled(label_block):
-        (i, j), block = label_block
-        try:
-            return lu_invert(block)
-        except SingularMatrix as exc:
-            raise SingularBlock(
-                f"permuted block ({i},{j}) is singular; assumption 1 "
-                f"(nonzero middle-factor entries, invertible blocks) fails: {exc}"
-            ) from exc
-
-    inv_col0 = np.stack(parallel_map(invert_labeled, [((i, 0), blocks[i, 0]) for i in range(b)], threads))
-    inv_row0 = np.stack(parallel_map(invert_labeled, [((0, j), blocks[0, j]) for j in range(b)], threads))
+    try:
+        inv_col0 = lu_invert(blocks[:, 0])
+    except SingularMatrix as exc:
+        raise _singular_block(exc.index, 0, exc) from exc
+    try:
+        inv_row0 = lu_invert(blocks[0])
+    except SingularMatrix as exc:
+        raise _singular_block(0, exc.index, exc) from exc
 
     # family F(i, j) = Mt_i0^-1 Mt_ij (Mt_0j^-1 Mt_00), i-major
     left = inv_col0[:, None] @ blocks
@@ -254,9 +261,9 @@ def factorize_mm_star(m, b: int, threads: int = 1) -> MMStarFactorization:
     c0_inv = lu_invert(c0)
 
     a_blocks = blocks[:, 0] @ c0_inv
-    c_blocks = np.concatenate([c0[None], lu_invert(a_blocks[0]) @ blocks[0, 1:]])
-    a_invs = np.stack([lu_invert(a) for a in a_blocks])
-    c_invs = np.stack([lu_invert(c) for c in c_blocks])
+    a_invs = lu_invert(a_blocks)
+    c_blocks = np.concatenate([c0[None], a_invs[0] @ blocks[0, 1:]])
+    c_invs = lu_invert(c_blocks)
     d = a_invs[:, None] @ blocks @ c_invs[None]
     worst_offdiag = max(sim.diag_residual, _offdiag_ratio(d, d))
     if worst_offdiag > 1e-6:

@@ -8,7 +8,9 @@ family and reconstruction) use np.matmul directly; matmul below serves the
 callers that want its fixed accumulation order (product_to_dense):
 
   * matmul        - fixed k-ascending accumulation order (reproducible)
-  * lu_invert     - partial-pivot LU with an explicit singularity threshold
+  * lu_invert     - Gauss-Jordan with partial pivoting and an explicit
+                    singularity threshold, over a stack of matrices at once
+                    (a single matrix is a batch of one)
   * svd           - one-sided Jacobi rotations over a stack of matrices:
                     each sweep is a Brent-Luk round-robin of disjoint column
                     pairs, and one round rotates those pairs in every matrix
@@ -86,52 +88,50 @@ def matmul(a, b) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# LU
-
-
-def _lu_factor(a: np.ndarray):
-    """In-place Doolittle LU with partial pivoting. Returns (lu, perm)."""
-    n = a.shape[0]
-    lu = a.copy()
-    perm = np.arange(n)
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    threshold = SINGULAR_PIVOT_RTOL * scale
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[p, k]) <= threshold:
-            raise SingularMatrix(
-                f"pivot {abs(lu[p, k]):.3e} at column {k} below {threshold:.3e}"
-            )
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-        lu[k + 1 :, k] /= lu[k, k]
-        lu[k + 1 :, k + 1 :] -= np.multiply.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-        add_multiplies((n - k - 1) * (n - k))
-    return lu, perm
+# Inversion
 
 
 def lu_invert(a) -> np.ndarray:
-    """Inverse via partial-pivot LU; raises SingularMatrix on tiny pivots."""
+    """Inverse of a matrix or of each matrix of a (batch, k, k) stack.
+
+    Gauss-Jordan elimination on [A | I] with partial pivoting, one column
+    step for every matrix of the stack at once; a single matrix is a batch
+    of one. Raises SingularMatrix, naming the first failing matrix of the
+    stack, when a pivot is not above SINGULAR_PIVOT_RTOL * max|A_i| (so a
+    NaN or infinite entry fails too).
+    """
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch("lu_invert needs a square matrix")
-    n = a.shape[0]
-    if n == 0:
-        return a.copy()
-    lu, perm = _lu_factor(a)
-    # Solve A X = I: forward substitution on the permuted identity, then back.
-    y = np.eye(n, dtype=lu.dtype)[perm]
-    for i in range(1, n):
-        y[i] -= lu[i, :i] @ y[:i]
-    add_multiplies(n * n * (n - 1) // 2)
-    x = y
-    for i in range(n - 1, -1, -1):
-        if i < n - 1:
-            x[i] -= lu[i, i + 1 :] @ x[i + 1 :]
-        x[i] /= lu[i, i]
-    add_multiplies(n * n * (n + 1) // 2)
-    return x
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatch("lu_invert needs a square matrix or a stack of square matrices")
+    stack = a[None] if a.ndim == 2 else a
+    batch, k = stack.shape[:2]
+    w = np.empty((batch, k, 2 * k), dtype=np.result_type(stack.dtype, np.float64))
+    w[:, :, :k] = stack
+    w[:, :, k:] = np.eye(k)
+    rows = w.reshape(batch * k, 2 * k)  # a view: w is C-contiguous
+    first_row = np.arange(0, batch * k, k)
+    # a zero pivot spreads inf/nan through its own matrix only; it is
+    # reported after the loop from the pivots left on the diagonal
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(k):
+            p = first_row + j + np.argmax(np.abs(w[:, j:, j]), axis=1)
+            pivot_row = rows[p]
+            rows[p] = w[:, j]
+            pivot_row[:, j + 1 :] /= pivot_row[:, j, None]
+            w[:, :, j + 1 :] -= w[:, :, j, None] * pivot_row[:, None, j + 1 :]
+            w[:, j] = pivot_row
+    add_multiplies(batch * (k + 1) * (3 * k * k - k) // 2)
+    pivots = np.abs(np.diagonal(w, axis1=1, axis2=2))
+    threshold = SINGULAR_PIVOT_RTOL * np.abs(stack).max(axis=(1, 2), initial=0.0)
+    bad = ~(pivots > threshold[:, None])
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=1)))
+        j = int(np.argmax(bad[i]))
+        raise SingularMatrix(
+            f"matrix {i}: pivot {pivots[i, j]:.3e} at column {j} not above {threshold[i]:.3e}", index=i
+        )
+    inv = w[:, :, k:]
+    return inv if a.ndim == 3 else inv[0]
 
 
 # ---------------------------------------------------------------------------
@@ -456,11 +456,15 @@ def eig(a) -> EigResult:
 
     Real inputs are promoted; raises DefectiveMatrix when the eigenvector
     matrix condition estimate exceeds DEFECTIVE_CONDITION, NoConvergence when
-    the QR iteration stalls. Eigenvalues are returned unsorted.
+    the QR iteration stalls, or at once on a non-finite entry. Eigenvalues
+    are returned unsorted.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch("eig needs a square matrix")
+    # a NaN subdiagonal never compares small enough to deflate
+    if not np.isfinite(a).all():
+        raise NoConvergence("qr eigensolver: non-finite entry")
     n = a.shape[0]
     ac = a.astype(np.complex128)
     if n == 0:

@@ -1,25 +1,13 @@
-"""Optional thread-pool mapping over independent work items.
+"""Order-preserving thread-pool map over independent work items.
 
-Every caller hands out disjoint work (per-block, per-slice), so results are
-bitwise identical for any thread count; this only changes wall time.
+No library code calls it: the MM* factorization inverts its blocks with one
+batched lu_invert call per stack. The module stays only because the traced
+benchmark imports monarch.parallel and wraps parallel_map by name.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
-
-
-def resolve_threads(threads: int | None) -> int:
-    """Turn a --threads value into a concrete count (0 = auto, None = env/1)."""
-    if threads is None:
-        env = os.environ.get("MONARCH_THREADS", "")
-        threads = int(env) if env.strip() else 1
-    if threads == 0:
-        return os.cpu_count() or 1
-    if threads < 0:
-        raise ValueError("thread count must be >= 0")
-    return threads
 
 
 def parallel_map(fn, items, threads: int = 1) -> list:

@@ -95,7 +95,7 @@ class BlockDiagMatrix:
         """Blockwise product; requires matching block counts and inner sizes."""
         if self.num_blocks != other.num_blocks or self.block_cols != other.block_rows:
             raise DimensionMismatch("block structure mismatch in blockwise product")
-        out = np.einsum("qij,qjk->qik", self.blocks, other.blocks)
+        out = np.matmul(self.blocks, other.blocks)
         add_multiplies(self.num_blocks * self.block_rows * self.block_cols * other.block_cols)
         return BlockDiagMatrix(out)
 

@@ -178,6 +178,13 @@ class TestRandomButterfly:
             assert bd_membership(dense, f.k, f.k)
             assert db_membership(dense, f.k // 2, f.k // 2)
 
+    @pytest.mark.parametrize("n", [4, 16, 32])
+    def test_db_entries_match_dense_factor(self, n):
+        for bm in (random_butterfly(n, seed=n), dft_butterfly(n)[0]):
+            for f in bm.factors:
+                for b in (b for b in range(1, f.k // 2 + 1) if (f.k // 2) % b == 0):
+                    assert np.array_equal(f.db_entries(b).to_dense(), f.to_dense()), (n, f.k, b)
+
     def test_merge_at_both_blockings(self):
         bm = random_butterfly(8, seed=9)
         dense = bm.to_dense()

@@ -331,12 +331,3 @@ class TestPipeline:
         with pytest.raises(SystemExit) as exc:
             run("gen", "--kind", "nonsense", "--n", "4", "--out", "x")
         assert exc.value.code == 2
-
-    def test_threads_flag_and_env(self, tmp_path, monkeypatch):
-        src = tmp_path / "a.dmat"
-        run("gen", "--kind", "dense-random", "--n", "16", "--seed", "12", "--out", str(src))
-        out1, out2 = tmp_path / "p1.mon", tmp_path / "p2.mon"
-        assert run("--threads", "2", "project", "--in", str(src), "--b", "4", "--out", str(out1)) == 0
-        monkeypatch.setenv("MONARCH_THREADS", "3")
-        assert run("project", "--in", str(src), "--b", "4", "--out", str(out2)) == 0
-        assert out1.read_text() == out2.read_text()

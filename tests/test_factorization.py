@@ -47,6 +47,16 @@ class TestSimultaneousDiagonalize:
         res = simultaneous_diagonalize(family)
         assert res.diag_residual <= 1e-8
 
+    def test_diagonal_cluster_reordered(self):
+        # the second member splits the first one's cluster in the opposite
+        # order, so the staged pass reorders rows of Q instead of re-solving
+        family = [np.diag([1.0, 1.0, 5.0]), np.diag([3.0, 2.0, 7.0]), np.diag([4.0, 6.0, 8.0])]
+        res = simultaneous_diagonalize(family)
+        assert res.diag_residual <= 1e-12
+        for g in family:
+            t = res.q @ g @ np.linalg.inv(res.q)
+            assert np.linalg.norm(t - np.diag(np.diag(t))) <= 1e-12
+
     def test_nilpotent_member_rejected(self):
         with pytest.raises((SimDiagFailed, DefectiveMatrix)):
             simultaneous_diagonalize([np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2)])
@@ -72,6 +82,13 @@ class TestFactorize:
     def test_identity_fails_assumption(self):
         with pytest.raises(SingularBlock):
             factorize_mm_star(np.eye(16), 4)
+
+    @pytest.mark.parametrize("i", [1, 3])
+    def test_singular_column_block_named(self, i):
+        dense = product_to_dense(random_mm_star(16, 4, seed=2))
+        dense[i::4, 0::4] = 0.0  # permuted block (i, 0)
+        with pytest.raises(SingularBlock, match=rf"permuted block \({i},0\) is singular"):
+            factorize_mm_star(dense, 4)
 
     def test_complex_round_trip(self):
         product = random_mm_star(16, 4, seed=5, field="complex")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from monarch import numerics as nm
+from monarch.counting import count_multiplies
 from monarch.errors import DefectiveMatrix, DimensionMismatch, MonarchError, NoConvergence, SingularMatrix
 
 
@@ -112,6 +113,31 @@ class TestLuInvert:
     def test_nonsquare_rejected(self):
         with pytest.raises(DimensionMismatch):
             nm.lu_invert(np.ones((2, 3)))
+        with pytest.raises(DimensionMismatch):
+            nm.lu_invert(np.ones((4, 2, 3)))
+
+    def test_singular_member_named(self):
+        a = np.tile(np.eye(3), (4, 1, 1))
+        a[2, 1] = a[2, 0]
+        with pytest.raises(SingularMatrix, match="matrix 2:") as exc:
+            nm.lu_invert(a)
+        assert exc.value.index == 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_raises(self, bad):
+        with pytest.raises(SingularMatrix):
+            nm.lu_invert(np.array([[bad, 1.0], [1.0, 1.0]]))
+        a = np.tile(2.0 * np.eye(4), (3, 1, 1))
+        a[1, 3, 2] = bad
+        with pytest.raises(SingularMatrix) as exc:
+            nm.lu_invert(a)
+        assert exc.value.index == 1
+
+    def test_counts_gauss_jordan_work(self):
+        with count_multiplies() as tally:
+            nm.lu_invert(np.tile(np.eye(4), (3, 1, 1)))
+        # (k + 1) (3 k^2 - k) / 2 per 4 x 4 matrix
+        assert tally.multiplies == 3 * 110
 
 
 class TestSvd:
@@ -247,6 +273,13 @@ class TestEig:
     def test_defective_raises(self):
         with pytest.raises(DefectiveMatrix):
             nm.eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_raises(self, bad):
+        a = np.random.default_rng(19).standard_normal((32, 32))
+        a[7, 3] = bad
+        with pytest.raises(NoConvergence, match="non-finite"):
+            nm.eig(a)
 
     def test_real_input_promoted(self):
         # rotation matrix has complex eigenvalues; real input must still work

@@ -1,5 +1,6 @@
 """Property tests for the batched Jacobi SVD and the projection built on it,
-and for the reshape-transpose form of P against the index-table references.
+for the batched Gauss-Jordan inversion, and for the reshape-transpose form
+of P against the index-table references.
 
 Shapes, fields and degeneracies (zeroed or repeated columns) are drawn by
 hypothesis; entries come from a seeded numpy generator so every example is
@@ -85,6 +86,29 @@ def test_stack_agrees_with_single_matrices(a):
         stacked = (res.u[i] * res.s[i]) @ res.v[i].conj().T
         single = (one.u * one.s) @ one.v.conj().T
         assert np.linalg.norm(stacked - single) <= 10 * scale
+
+
+@st.composite
+def invertible_stacks(draw):
+    batch = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((batch, k, k))
+    if draw(st.booleans()):
+        a = a + 1j * rng.standard_normal((batch, k, k))
+    return a
+
+
+@given(invertible_stacks())
+def test_lu_invert_stack_matches_single_matrices(a):
+    inv = nm.lu_invert(a)
+    assert inv.shape == a.shape
+    eye = np.eye(a.shape[1])
+    for i in range(a.shape[0]):
+        single = nm.lu_invert(a[i])
+        cond = np.linalg.cond(a[i])
+        assert np.linalg.norm(inv[i] - single) <= 1e-13 * cond * np.linalg.norm(single)
+        assert np.linalg.norm(a[i] @ inv[i] - eye) <= 1e-13 * cond * a.shape[1]
 
 
 @st.composite
