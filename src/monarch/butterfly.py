@@ -70,35 +70,35 @@ class ButterflyFactorMatrix:
         out = np.stack([top, bot], axis=1).reshape(self.n, -1)
         return out.reshape(shape)
 
+    def _dense_stack(self) -> np.ndarray:
+        """All n/k blocks as one dense (n/k, k, k) stack."""
+        factors, half = self.n // self.k, self.k // 2
+        # entry v of quadrant (r, c) of block t sits at (r*half + v, c*half + v)
+        out = np.zeros((factors, 2, half, 2, half), dtype=self.diagonals.dtype)
+        t = np.arange(factors)[:, None, None, None]
+        r = np.arange(2)[:, None, None]
+        c = np.arange(2)[:, None]
+        v = np.arange(half)
+        out[t, r, v, c, v] = self.diagonals
+        return out.reshape(factors, self.k, self.k)
+
     def block_dense(self, t: int) -> np.ndarray:
         """Dense k x k form of block t."""
-        half = self.k // 2
-        out = np.zeros((self.k, self.k), dtype=self.diagonals.dtype)
-        idx = np.arange(half)
-        out[idx, idx] = self.diagonals[t, 0, 0]
-        out[idx, half + idx] = self.diagonals[t, 0, 1]
-        out[half + idx, idx] = self.diagonals[t, 1, 0]
-        out[half + idx, half + idx] = self.diagonals[t, 1, 1]
-        return out
+        return self._dense_stack()[t]
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n), dtype=self.diagonals.dtype)
-        for t in range(self.n // self.k):
-            lo = t * self.k
-            out[lo : lo + self.k, lo : lo + self.k] = self.block_dense(t)
-        return out
+        return self.bd_blocks(self.n).blocks[0]
 
     def bd_blocks(self, b: int) -> BlockDiagMatrix:
         """This factor as a member of BD(b, n); valid when k divides b."""
         if b % self.k or self.n % b:
             raise BadBlocking(f"factor size {self.k} does not nest in block size {b}")
-        per = b // self.k
-        q = self.n // b
-        blocks = np.zeros((q, b, b), dtype=self.diagonals.dtype)
-        for t in range(self.n // self.k):
-            lo = (t % per) * self.k
-            blocks[t // per, lo : lo + self.k, lo : lo + self.k] = self.block_dense(t)
-        return BlockDiagMatrix(blocks)
+        per, q, k = b // self.k, self.n // b, self.k
+        # factor block t is sub-block t % per on the diagonal of block t // per
+        blocks = np.zeros((q, per, k, per, k), dtype=self.diagonals.dtype)
+        p = np.arange(per)
+        blocks[np.arange(q)[:, None], p, :, p, :] = self._dense_stack().reshape(q, per, k, k)
+        return BlockDiagMatrix(blocks.reshape(q, b, b))
 
     def db_entries(self, b: int) -> DiagBlockMatrix:
         """This factor as a member of DB(b, n); valid when b divides k/2."""

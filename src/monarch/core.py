@@ -24,7 +24,7 @@ import numpy as np
 
 from . import numerics
 from .counting import add_multiplies
-from .errors import BadBlocking, DimensionMismatch
+from .errors import BadBlocking, DimensionMismatch, NoConvergence
 from .indexing import BlockPermutation, permutation_matrix
 from .numerics import COMPLEX, REAL, cond_estimate, dtype_for
 from .structured import BlockDiagMatrix, bd_matvec, bd_matvec_adjoint
@@ -252,6 +252,8 @@ ASSUMPTION1 = "assumption1"
 
 _MIN_MIDDLE_ENTRY = 0.1
 _MAX_BLOCK_CONDITION = 1e4
+#: candidate draws per block, and entry redraw rounds, before a sampler gives up
+_DRAW_BUDGET = 1000
 
 
 def _standard_blocks(rng, shape, field):
@@ -264,23 +266,27 @@ def _conditioned_blocks(rng, count, size, field):
     """Blocks resampled until each condition estimate is <= 1e4."""
     blocks = np.empty((count, size, size), dtype=dtype_for(field))
     for i in range(count):
-        while True:
+        for _ in range(_DRAW_BUDGET):
             cand = _standard_blocks(rng, (size, size), field)
             if cond_estimate(cand) <= _MAX_BLOCK_CONDITION:
                 blocks[i] = cand
                 break
+        else:
+            raise NoConvergence(
+                f"no block with condition <= {_MAX_BLOCK_CONDITION:g} in {_DRAW_BUDGET} draws"
+            )
     return BlockDiagMatrix(blocks)
 
 
 def _nonzero_entry_blocks(rng, count, size, field):
     """Blocks with every entry magnitude >= 0.1, resampled entrywise."""
     blocks = _standard_blocks(rng, (count, size, size), field)
-    while True:
+    for _ in range(_DRAW_BUDGET):
         small = np.abs(blocks) < _MIN_MIDDLE_ENTRY
         if not small.any():
-            break
+            return BlockDiagMatrix(blocks)
         blocks[small] = _standard_blocks(rng, (int(small.sum()),), field)
-    return BlockDiagMatrix(blocks)
+    raise NoConvergence(f"entries below {_MIN_MIDDLE_ENTRY} remain after {_DRAW_BUDGET} redraws")
 
 
 def random_monarch(
@@ -294,7 +300,8 @@ def random_monarch(
 
     constraints=ASSUMPTION1 enforces the factorization preconditions:
     R-block entries bounded away from zero and well-conditioned Ltilde
-    blocks. Deterministic under seed.
+    blocks. Deterministic under seed. Raises NoConvergence when a resampler
+    exhausts its draw budget.
     """
     b = resolve_block_size(n, b)
     q = n // b

@@ -11,6 +11,13 @@ share the eigenbasis C_0^-1, so any simultaneous diagonalizer Q of the
 family is a valid C_0; the remaining factors follow by block division:
 A_i = Mt_i0 Q^-1, C_j = A_0^-1 Mt_0j, D_ij = A_i^-1 Mt_ij C_j^-1.
 
+Q comes from one path (simultaneous_diagonalize): the eigenvectors of one
+seeded random combination of the whole family, with a second eigensolve
+only inside an eigenvalue cluster that the members separate but the
+combination does not. A cluster on which every member is scalar (a
+degenerate joint eigenspace, e.g. two equal diagonal positions in every
+D_ij) is kept as it is.
+
 The factorization is not unique: any permutation plus diagonal rescaling of
 the recovered blocks is an equally valid answer, so only the dense
 reconstruction is comparable across runs.
@@ -38,12 +45,13 @@ CLUSTER_RTOL = 1e-6
 #: per-block condition estimate above this fails the assumption-1 check
 ASSUMPTION1_CONDITION_LIMIT = 1e10
 
-_FAST_PATH_SEED = 0x5EED
+_SIMDIAG_SEED = 0x5EED
 
 
 @dataclass
 class SimDiagResult:
     q: np.ndarray  # rows of the simultaneous diagonalizer
+    q_inv: np.ndarray  # its inverse: the common eigenvectors as columns
     diag_residual: float  # max over inputs of offdiag(Q G Q^-1)_F / |G|_F
 
 
@@ -100,106 +108,53 @@ def _cluster_order(lam: np.ndarray):
     return order, sizes
 
 
-def _eig_rows(g: np.ndarray):
-    """Rows that diagonalize g (inverse eigenvector matrix), cluster-sorted."""
-    res = eig(g)
-    order, sizes = _cluster_order(res.lam)
-    return lu_invert(res.q[:, order]), sizes
-
-
-def simultaneous_diagonalize(family: list[np.ndarray]) -> SimDiagResult:
+def simultaneous_diagonalize(family) -> SimDiagResult:
     """One invertible Q with Q @ G @ Q^-1 diagonal for every G in the family.
 
-    Staged refinement: diagonalize the first matrix, then for each later one
-    conjugate by the current Q, check it is block diagonal on the current
-    eigenvalue clusters, diagonalize the non-scalar blocks, and refine the
-    clusters. Raises SimDiagFailed when the family has no common eigenbasis
-    to tolerance.
+    A commuting, diagonalizable family shares its eigenvectors with every
+    linear combination of its members, and a random combination separates
+    the family's joint eigenspaces with probability one. So: diagonalize
+    one seeded random combination and cluster its eigenvalues. A cluster on
+    which every member is already diagonal needs nothing more (on a shared
+    eigenspace any basis serves). A cluster on which some member is not is
+    an accidental coincidence of the combination; it is split by the
+    eigenvectors of a fresh random combination of the members' cluster
+    blocks. One final residual check accepts Q; any failure raises
+    SimDiagFailed (no common eigenbasis to tolerance).
     """
-    mats = [np.asarray(g).astype(np.complex128) for g in family]
-    if not mats:
-        raise DimensionMismatch("empty family")
-    size = mats[0].shape[0]
-    for g in mats:
-        if g.shape != (size, size):
-            raise DimensionMismatch("family members must be square and same size")
     try:
-        q, sizes = _eig_rows(mats[0])
-    except (SingularMatrix, NoConvergence) as exc:
-        raise SimDiagFailed(f"first family member not diagonalizable: {exc}") from exc
-    q_inv = lu_invert(q)
-    for g in mats[1:]:
-        if all(s == 1 for s in sizes):
-            break
-        t = q @ g @ q_inv
-        # off-block mass vs the current partition means no common eigenbasis
-        mask = np.ones((size, size), dtype=bool)
-        start = 0
-        for s in sizes:
-            mask[start : start + s, start : start + s] = False
-            start += s
-        if frobenius(t[mask]) > SIMDIAG_RESIDUAL_RTOL * max(frobenius(g), 1e-300) * 10:
-            raise SimDiagFailed("family member is not block diagonal on the current clusters")
-        new_sizes = []
-        start = 0
-        stale = False  # q_inv no longer inverts q
-        for s in sizes:
-            if s == 1:
-                new_sizes.append(1)
-                start += 1
+        stack = np.asarray(family, dtype=np.complex128)
+    except ValueError as exc:  # members of different shapes
+        raise DimensionMismatch("family members must be square and same size") from exc
+    if stack.ndim != 3 or not len(stack) or stack.shape[1] != stack.shape[2]:
+        raise DimensionMismatch("family must be a non-empty stack of same-size square matrices")
+    rng = np.random.default_rng(_SIMDIAG_SEED)
+    tol = SIMDIAG_RESIDUAL_RTOL * np.maximum(np.linalg.norm(stack, axis=(1, 2)), 1e-300)
+    try:
+        res = eig(np.tensordot(rng.standard_normal(len(stack)), stack, axes=1))
+        order, sizes = _cluster_order(res.lam)
+        q_inv = res.q[:, order]
+        q = lu_invert(q_inv)
+        t = q @ stack @ q_inv
+        starts = np.cumsum([0] + sizes[:-1])
+        for start, size in zip(starts, sizes):
+            cluster = slice(start, start + size)
+            block = t[:, cluster, cluster]
+            if size == 1 or np.all(_offdiag_mass(block) <= tol):
                 continue
-            block = t[start : start + s, start : start + s]
-            if _offdiag_mass(block) <= 1e-13 * max(frobenius(g), 1e-300):
-                # already diagonal; refine clusters by its diagonal values
-                order, sub_sizes = _cluster_order(np.diag(block))
-                q[start : start + s] = q[start + order]
-                q_inv[:, start : start + s] = q_inv[:, start + order]
-            else:
-                try:
-                    rows, sub_sizes = _eig_rows(block)
-                except (SingularMatrix, NoConvergence, DefectiveMatrix) as exc:
-                    raise SimDiagFailed(f"cluster block not diagonalizable: {exc}") from exc
-                q[start : start + s] = rows @ q[start : start + s]
-                stale = True
-            new_sizes.extend(sub_sizes)
-            start += s
-        sizes = new_sizes
-        if stale:
-            q_inv = lu_invert(q)
-    stack = np.asarray(mats)
-    residual = _offdiag_ratio(q @ stack @ q_inv, stack)
+            w = eig(np.tensordot(rng.standard_normal(len(stack)), block, axes=1)).q
+            w_inv = lu_invert(w)
+            q[cluster] = w_inv @ q[cluster]
+            q_inv[:, cluster] = q_inv[:, cluster] @ w
+            # keep t = Q stack Q^-1 for the final check without a full product
+            t[:, cluster] = w_inv @ t[:, cluster]
+            t[:, :, cluster] = t[:, :, cluster] @ w
+    except (SingularMatrix, NoConvergence, DefectiveMatrix) as exc:
+        raise SimDiagFailed(f"no common eigenbasis: {exc}") from exc
+    residual = _offdiag_ratio(t, stack)
     if residual > SIMDIAG_RESIDUAL_RTOL:
         raise SimDiagFailed(f"off-diagonal residual {residual:.3e} above {SIMDIAG_RESIDUAL_RTOL}")
-    return SimDiagResult(q=q, diag_residual=residual)
-
-
-def _fast_common_diagonalizer(family: np.ndarray) -> SimDiagResult | None:
-    """Diagonalize one random linear combination; works when its spectrum is simple.
-
-    Shortcut over the staged procedure: all family members share an
-    eigenbasis, so a generic combination exposes it whenever its eigenvalues
-    are distinct. Returns None (caller falls back) on clustered spectra or
-    residual failure.
-    """
-    rng = np.random.default_rng(_FAST_PATH_SEED)
-    combo = np.tensordot(rng.standard_normal(len(family)), family, axes=1)
-    try:
-        res = eig(combo.astype(np.complex128))
-    except (NoConvergence, DefectiveMatrix):
-        return None
-    lam = res.lam
-    scale = float(np.max(np.abs(lam))) if len(lam) else 0.0
-    gaps = np.abs(lam[:, None] - lam[None, :]) + np.eye(len(lam)) * (scale + 1.0)
-    if float(gaps.min()) <= CLUSTER_RTOL * max(scale, 1e-300):
-        return None
-    try:
-        q = lu_invert(res.q)
-    except SingularMatrix:
-        return None
-    residual = _offdiag_ratio(q @ family @ res.q, family)
-    if residual > SIMDIAG_RESIDUAL_RTOL:
-        return None
-    return SimDiagResult(q=q, diag_residual=residual)
+    return SimDiagResult(q=q, q_inv=q_inv, diag_residual=residual)
 
 
 def _permuted_blocks(m: np.ndarray, b: int):
@@ -254,15 +209,10 @@ def factorize_mm_star(m, b: int) -> MMStarFactorization:
     family = (left @ right[None]).reshape(b * b, q, q)
     add_multiplies(b * b * q**3)
 
-    sim = _fast_common_diagonalizer(family)
-    if sim is None:
-        sim = simultaneous_diagonalize(family)
-    c0 = sim.q
-    c0_inv = lu_invert(c0)
-
-    a_blocks = blocks[:, 0] @ c0_inv
+    sim = simultaneous_diagonalize(family)
+    a_blocks = blocks[:, 0] @ sim.q_inv
     a_invs = lu_invert(a_blocks)
-    c_blocks = np.concatenate([c0[None], a_invs[0] @ blocks[0, 1:]])
+    c_blocks = np.concatenate([sim.q[None], a_invs[0] @ blocks[0, 1:]])
     c_invs = lu_invert(c_blocks)
     d = a_invs[:, None] @ blocks @ c_invs[None]
     worst_offdiag = max(sim.diag_residual, _offdiag_ratio(d, d))

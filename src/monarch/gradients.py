@@ -45,14 +45,15 @@ def matvec_vjp(m: MonarchMatrix, x, upstream) -> MonarchTangent:
     lb = m.ltilde.blocks  # (b, q, q) indexed [j, l, k]
     rb = m.r.blocks  # (q, b, b) indexed [k, j, i]
     xq = x.reshape(q, b)
-    y = np.einsum("kji,ki->kj", rb, xq)  # R x, (q, b)
+    y = np.matmul(rb, xq[:, :, None])[:, :, 0]  # R x, (q, b)
     w = y.T  # P y, (b, q) indexed [j, k]
     u = upstream.reshape(q, b).T  # P upstream, (b, q) indexed [j, l]
-    d_ltilde = np.einsum("jl,jk->jlk", u, np.conj(w))
-    t = np.einsum("jlk,jl->jk", np.conj(lb), u)  # Ltilde* u, (b, q)
+    d_ltilde = u[:, :, None] * np.conj(w)[:, None, :]
+    # conj(conj(v)^T B) = B* v conjugates the vectors instead of the blocks
+    t = np.conj(np.matmul(np.conj(u)[:, None, :], lb))[:, 0]  # Ltilde* u, (b, q)
     s = t.T  # P.T t, (q, b) indexed [k, j]
-    d_r = np.einsum("kj,ki->kji", s, np.conj(xq))
-    d_x = np.einsum("kji,kj->ki", np.conj(rb), s).reshape(n)
+    d_r = s[:, :, None] * np.conj(xq)[:, None, :]
+    d_x = np.conj(np.matmul(np.conj(s)[:, None, :], rb)).reshape(n)
     add_multiplies(4 * (n * b + n * q))
     return MonarchTangent(d_ltilde=d_ltilde, d_r=d_r, d_x=d_x)
 

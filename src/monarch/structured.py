@@ -23,7 +23,6 @@ import numpy as np
 
 from .counting import add_multiplies
 from .errors import BadBlocking, DimensionMismatch, UnsupportedBlocking
-from .indexing import BlockPermutation, permute_cols, permute_rows
 
 
 @dataclass
@@ -242,14 +241,6 @@ def bd_to_db(r: BlockDiagMatrix, b: int) -> DiagBlockMatrix:
         raise BadBlocking(f"expected {b} blocks, found {r.num_blocks}")
     entries = np.ascontiguousarray(np.moveaxis(r.blocks, 0, 2))
     return DiagBlockMatrix(b_row=b, b_col=b, entries=entries)
-
-
-def db_conjugation_oracle(l: DiagBlockMatrix) -> np.ndarray:
-    """Dense P_(b,n3) @ dense(l) @ P_(b,n2).T, for checking db_to_bd."""
-    dense = l.to_dense()
-    n3, n2 = dense.shape
-    b = l.b_row
-    return permute_cols(BlockPermutation(b, n2), permute_rows(BlockPermutation(b, n3), dense))
 
 
 def bd_matvec(r: BlockDiagMatrix, x) -> np.ndarray:

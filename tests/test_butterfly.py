@@ -182,8 +182,17 @@ class TestRandomButterfly:
     def test_db_entries_match_dense_factor(self, n):
         for bm in (random_butterfly(n, seed=n), dft_butterfly(n)[0]):
             for f in bm.factors:
+                dense = f.to_dense()
+                # applying the factor to the identity adds only exact zeros
+                assert np.array_equal(dense, f.stage_apply(np.eye(n))), (n, f.k)
                 for b in (b for b in range(1, f.k // 2 + 1) if (f.k // 2) % b == 0):
-                    assert np.array_equal(f.db_entries(b).to_dense(), f.to_dense()), (n, f.k, b)
+                    assert np.array_equal(f.db_entries(b).to_dense(), dense), (n, f.k, b)
+                for b in range(f.k, n + 1, f.k):
+                    if n % b == 0:
+                        assert np.array_equal(f.bd_blocks(b).to_dense(), dense), (n, f.k, b)
+                for t in range(n // f.k):
+                    lo = t * f.k
+                    assert np.array_equal(f.block_dense(t), dense[lo : lo + f.k, lo : lo + f.k])
 
     def test_merge_at_both_blockings(self):
         bm = random_butterfly(8, seed=9)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from monarch import core
 from monarch.core import (
     ASSUMPTION1,
     MonarchMatrix,
@@ -20,7 +21,7 @@ from monarch.core import (
     random_monarch,
 )
 from monarch.counting import count_multiplies
-from monarch.errors import BadBlocking, DimensionMismatch
+from monarch.errors import BadBlocking, DimensionMismatch, NoConvergence
 from monarch.indexing import BlockPermutation, permutation_matrix
 from monarch.numerics import lu_invert
 from monarch.projection import slice_singular_ratios
@@ -240,6 +241,18 @@ class TestRandomInstances:
                 inv = lu_invert(blocks[i, j])  # must not raise
                 resid = np.linalg.norm(blocks[i, j] @ inv - np.eye(4))
                 assert resid <= 1e-8
+
+    def test_conditioned_sampler_bounded(self, monkeypatch):
+        monkeypatch.setattr(core, "cond_estimate", lambda a: np.inf)
+        with pytest.raises(NoConvergence, match="draws"):
+            random_monarch(16, 4, seed=9, constraints=ASSUMPTION1)
+        with pytest.raises(NoConvergence, match="draws"):
+            random_mm_star(16, 4, seed=9)
+
+    def test_nonzero_entry_sampler_bounded(self, monkeypatch):
+        monkeypatch.setattr(core, "_MIN_MIDDLE_ENTRY", np.inf)
+        with pytest.raises(NoConvergence, match="redraws"):
+            random_monarch(16, 4, seed=9, constraints=ASSUMPTION1)
 
     def test_slice_rank_invariant(self):
         for n, b, field in [(16, 4, "real"), (16, 2, "real"), (36, 6, "complex")]:

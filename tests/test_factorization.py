@@ -3,15 +3,43 @@ import itertools
 import numpy as np
 import pytest
 
+from monarch import factorization
+from monarch import numerics as nm
 from monarch.core import product_to_dense, random_mm_star
 from monarch.counting import count_multiplies
-from monarch.errors import BadBlocking, DefectiveMatrix, NoConvergence, SimDiagFailed, SingularBlock
+from monarch.errors import BadBlocking, NoConvergence, SimDiagFailed, SingularBlock
 from monarch.factorization import (
     assumption1_check,
     factorize_mm_star,
     simultaneous_diagonalize,
 )
 from monarch.structured import DiagBlockMatrix
+
+
+def _conjugated(diagonals, seed):
+    """Members C^-1 diag(d) C of a commuting family with a random basis C."""
+    rng = np.random.default_rng(seed)
+    size = len(diagonals[0])
+    c = rng.standard_normal((size, size)) + size * np.eye(size)
+    return [np.linalg.solve(c, np.diag(d) @ c) for d in diagonals]
+
+
+def _assert_diagonalizes(res, family, tol):
+    for g in family:
+        t = res.q @ g @ res.q_inv
+        assert np.linalg.norm(t - np.diag(np.diag(t))) <= tol * np.linalg.norm(g)
+    assert np.linalg.norm(res.q @ res.q_inv - np.eye(len(res.q))) <= 1e-10
+
+
+def _count_eig_calls(monkeypatch):
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return nm.eig(a)
+
+    monkeypatch.setattr(factorization, "eig", counted)
+    return calls
 
 
 class TestSimultaneousDiagonalize:
@@ -37,7 +65,7 @@ class TestSimultaneousDiagonalize:
             assert np.linalg.norm(off) <= 1e-7 * np.linalg.norm(g)
 
     def test_repeated_eigenvalues_need_staging(self):
-        # first matrix has multiplicity-2 clusters; the second resolves them
+        # every member has multiplicity-2 eigenvalues; their combination does not
         rng = np.random.default_rng(2)
         c = rng.standard_normal((6, 6)) + np.eye(6)
         cinv = np.linalg.inv(c)
@@ -48,8 +76,8 @@ class TestSimultaneousDiagonalize:
         assert res.diag_residual <= 1e-8
 
     def test_diagonal_cluster_reordered(self):
-        # the second member splits the first one's cluster in the opposite
-        # order, so the staged pass reorders rows of Q instead of re-solving
+        # the members split the first one's double eigenvalue in opposite
+        # orders; Q of a diagonal family is a scaled permutation
         family = [np.diag([1.0, 1.0, 5.0]), np.diag([3.0, 2.0, 7.0]), np.diag([4.0, 6.0, 8.0])]
         res = simultaneous_diagonalize(family)
         assert res.diag_residual <= 1e-12
@@ -58,15 +86,42 @@ class TestSimultaneousDiagonalize:
             assert np.linalg.norm(t - np.diag(np.diag(t))) <= 1e-12
 
     def test_nilpotent_member_rejected(self):
-        with pytest.raises((SimDiagFailed, DefectiveMatrix)):
+        # every combination is a Jordan block: the eigensolver's
+        # DefectiveMatrix surfaces as the documented SimDiagFailed
+        with pytest.raises(SimDiagFailed):
             simultaneous_diagonalize([np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2)])
 
     def test_non_commuting_family_rejected(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((4, 4))
         b = rng.standard_normal((4, 4))
-        with pytest.raises((SimDiagFailed, DefectiveMatrix)):
+        with pytest.raises(SimDiagFailed):
             simultaneous_diagonalize([a, b])
+
+    def test_coincident_combination_split_by_members(self, monkeypatch):
+        # joint eigenvalues (1, 0) and (0, c0/c1) are distinct, but the seeded
+        # combination c0*A + c1*B maps both to c0: one cluster of size 2 that
+        # only a second eigensolve on the cluster can resolve
+        c0, c1 = np.random.default_rng(factorization._SIMDIAG_SEED).standard_normal(2)
+        family = _conjugated([[1.0, 0.0, 3.0, -1.0], [0.0, c0 / c1, -2.0, 4.0]], seed=4)
+        lam = np.linalg.eigvals(c0 * family[0] + c1 * family[1])
+        gaps = np.abs(lam[:, None] - lam[None, :])[np.triu_indices(4, 1)]
+        assert np.sum(gaps <= factorization.CLUSTER_RTOL * np.max(np.abs(lam))) == 1
+        calls = _count_eig_calls(monkeypatch)
+        res = simultaneous_diagonalize(family)
+        assert calls == [(4, 4), (2, 2)]
+        assert res.diag_residual <= 1e-10
+        _assert_diagonalizes(res, family, 1e-10)
+
+    def test_shared_eigenspace_kept_without_split(self, monkeypatch):
+        # every member is scalar on a 2-D joint eigenspace, so any basis of
+        # it serves and the combination's eigenvectors are kept as they are
+        family = _conjugated([[2.0, 2.0, 5.0, -1.0], [1.0, 1.0, 4.0, 3.0], [0.5, 0.5, -2.0, 6.0]], seed=5)
+        calls = _count_eig_calls(monkeypatch)
+        res = simultaneous_diagonalize(family)
+        assert calls == [(4, 4)]
+        assert res.diag_residual <= 1e-10
+        _assert_diagonalizes(res, family, 1e-10)
 
 
 class TestFactorize:

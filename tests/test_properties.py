@@ -1,6 +1,7 @@
 """Property tests for the batched Jacobi SVD and the projection built on it,
-for the batched Gauss-Jordan inversion, and for the reshape-transpose form
-of P against the index-table references.
+for the batched Gauss-Jordan inversion, for the reshape-transpose form
+of P against the index-table references, and for MM* factorization of
+gauge-transformed factors.
 
 Shapes, fields and degeneracies (zeroed or repeated columns) are drawn by
 hypothesis; entries come from a seeded numpy generator so every example is
@@ -22,7 +23,7 @@ from monarch.core import (
     random_monarch,
 )
 from monarch.counting import count_multiplies
-from monarch.factorization import MMStarFactorization, _permuted_blocks
+from monarch.factorization import MMStarFactorization, _permuted_blocks, factorize_mm_star
 from monarch.indexing import BlockPermutation, permutation_matrix, permute_cols, permute_rows
 from monarch.projection import project, slice_view
 from monarch.structured import BlockDiagMatrix, DiagBlockMatrix
@@ -210,3 +211,58 @@ def test_factorization_to_dense_matches_permutation_matrices(blocking, seed):
     p = permutation_matrix(BlockPermutation(b, n))
     want = p.T @ grid @ p
     assert np.linalg.norm(fact.to_dense() - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@st.composite
+def gauged_mm_star(draw):
+    """Factors of an MM*(b, n) input, and the same factors gauge-transformed.
+
+    A_i -> A_i P S_i^-1, D_ij -> S_i P.T D_ij P T_j, C_j -> T_j^-1 P.T C_j
+    for one permutation P and diagonal rescalings S_i, T_j leaves every
+    block A_i D_ij C_j, hence the dense matrix, unchanged. With repeat,
+    two diagonal positions of every D_ij coincide: a degenerate joint
+    eigenspace of the commuting family.
+    """
+    b = draw(st.integers(2, 4))
+    q = draw(st.integers(2, 6))
+    cplx = draw(st.booleans())
+    repeat = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def conditioned():
+        # near-orthogonal blocks keep assumption 1 far from its limit
+        return np.linalg.qr(_normal(rng, (b, q, q), cplx))[0] + 0.05 * _normal(rng, (b, q, q), cplx)
+
+    a, c = conditioned(), conditioned()
+    mag = rng.uniform(0.5, 1.5, (b, b, q))
+    d = mag * (np.exp(2j * np.pi * rng.uniform(size=mag.shape)) if cplx else rng.choice([-1.0, 1.0], mag.shape))
+    if repeat:
+        d[:, :, 1] = d[:, :, 0]
+    perm = rng.permutation(q)
+    s, t = rng.uniform(0.5, 2.0, (2, b, q))
+    gauged = (a[:, :, perm] / s[:, None, :], s[:, None, :] * d[:, :, perm] * t[None], c[:, perm] / t[:, :, None])
+    return b * q, b, (a, d, c), gauged
+
+
+def _mm_star_dense(n, b, factors):
+    l1, entries, l2 = factors
+    q = n // b
+    return MMStarFactorization(
+        l1=BlockDiagMatrix(l1),
+        l2=BlockDiagMatrix(l2),
+        middle=DiagBlockMatrix(b_row=q, b_col=q, entries=entries),
+        b=b,
+        n=n,
+        diag_residual=0.0,
+        reconstruction_error=0.0,
+    ).to_dense()
+
+
+@given(gauged_mm_star())
+def test_factorize_reconstructs_gauge_transformed_factors(case):
+    n, b, factors, gauged = case
+    dense = _mm_star_dense(n, b, gauged)
+    assert np.linalg.norm(dense - _mm_star_dense(n, b, factors)) <= 1e-13 * np.linalg.norm(dense)
+    result = factorize_mm_star(dense, b)
+    assert result.reconstruction_error <= 1e-10
+    assert np.linalg.norm(result.to_dense() - dense) <= 1e-10 * np.linalg.norm(dense)
