@@ -44,6 +44,7 @@ from .errors import (
     IndexOutOfRange,
     MonarchError,
     NoConvergence,
+    NonFiniteValue,
     ParseError,
     SimDiagFailed,
     SingularBlock,
@@ -68,7 +69,7 @@ from .indexing import (
     permute_rows,
     permute_vector,
 )
-from .numerics import EigResult, SvdResult, eig, lu_invert, matmul, rank1_approx, svd
+from .numerics import EigResult, SvdResult, eig, lu_invert, rank1_approx, svd
 from .projection import ProjectionReport, project, slice_singular_ratios, slice_view
 from .structured import (
     BlockDiagMatrix,

@@ -1,6 +1,7 @@
 """Command-line interface: gen, project, factorize, matvec, bench, verify.
 
-Exit codes: 0 success, 1 predicate false, 2 usage/validation error,
+Exit codes: 0 success, 1 predicate false, 2 usage/validation error
+(including a non-finite result, which the file formats do not store),
 3 unreadable or malformed input file, 4 algorithmic assumption failure
 (singular permuted block / no common eigenbasis). All numeric output is
 printed with 17 significant digits.

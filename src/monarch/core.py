@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics
 from .counting import add_multiplies
 from .errors import BadBlocking, DimensionMismatch, NoConvergence
 from .indexing import BlockPermutation, permutation_matrix
@@ -222,7 +221,8 @@ def product_to_dense(p: MonarchProduct) -> np.ndarray:
     ]
     out = denses[0]
     for d in denses[1:]:
-        out = numerics.matmul(out, d)
+        add_multiplies(out.shape[0] * out.shape[1] * d.shape[1])
+        out = out @ d
     return out[: p.n, : p.n]
 
 

@@ -57,3 +57,8 @@ class SimDiagFailed(MonarchError):
 
 class ParseError(MonarchError):
     """A matrix file is malformed."""
+
+
+class NonFiniteValue(MonarchError):
+    """A value to be written is NaN or infinite; the text formats store
+    finite values only."""

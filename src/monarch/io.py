@@ -7,7 +7,13 @@ monarch:  "monarch <n> <b> <real|complex>" then the b Ltilde blocks (each
           (n/b) x (n/b), row-major), then the n/b R blocks (each b x b).
 
 Values are written with 17 significant digits, which round-trips float64
-exactly, so parse(serialize(A)) == A bitwise.
+exactly, so parse(serialize(A)) == A bitwise. Writers put 8 values on a
+line and start each block on a new line; readers accept any whitespace
+between values. Both work in bulk: a writer formats a whole block stack
+with one %-operation and makes one write call, and a reader splits the
+whole file once and converts all values with one numpy call. The format
+stores finite values only: writers raise NonFiniteValue (and write
+nothing) on NaN or infinity, readers raise ParseError.
 """
 
 from __future__ import annotations
@@ -15,29 +21,34 @@ from __future__ import annotations
 import numpy as np
 
 from .core import MonarchMatrix, resolve_block_size
-from .errors import BadBlocking, ParseError
+from .errors import BadBlocking, NonFiniteValue, ParseError
 from .structured import BlockDiagMatrix
 
 _VALUES_PER_LINE = 8
+_LINE = " ".join(["%.17g"] * _VALUES_PER_LINE) + "\n"
 
 
 def format_value(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _flatten(a: np.ndarray) -> np.ndarray:
-    flat = np.asarray(a).ravel()
-    if np.iscomplexobj(flat):
-        out = np.empty(2 * flat.size)
-        out[0::2] = flat.real
-        out[1::2] = flat.imag
-        return out
-    return flat.astype(np.float64)
+def _flatten(a) -> np.ndarray:
+    """Row-major float64 values of a; complex entries as (re, im) pairs."""
+    a = np.asarray(a)
+    if np.iscomplexobj(a):
+        return np.ascontiguousarray(a, dtype=np.complex128).reshape(-1).view(np.float64)
+    return np.asarray(a, dtype=np.float64).reshape(-1)
 
 
-def _value_lines(values: np.ndarray):
-    for start in range(0, len(values), _VALUES_PER_LINE):
-        yield " ".join(format_value(v) for v in values[start : start + _VALUES_PER_LINE])
+def _format_blocks(blocks, path) -> str:
+    """Text of a (k, rows, cols) stack: 8 values a line, each block from a new line."""
+    blocks = np.asarray(blocks)
+    values = _flatten(blocks)
+    if not np.isfinite(values).all():
+        raise NonFiniteValue(f"{path}: cannot write a non-finite value")
+    full, rest = divmod(values.size // blocks.shape[0], _VALUES_PER_LINE)
+    block = _LINE * full + (" ".join(["%.17g"] * rest) + "\n" if rest else "")
+    return (block * blocks.shape[0]) % tuple(values.tolist())
 
 
 def write_dmat(path, a) -> None:
@@ -45,22 +56,16 @@ def write_dmat(path, a) -> None:
     if a.ndim != 2:
         raise ParseError(f"dmat stores 2-D matrices, got ndim={a.ndim}")
     kind = "complex" if np.iscomplexobj(a) else "real"
+    body = _format_blocks(a[np.newaxis], path)
     with open(path, "w") as fh:
-        fh.write(f"dmat {a.shape[0]} {a.shape[1]} {kind}\n")
-        for line in _value_lines(_flatten(a)):
-            fh.write(line + "\n")
+        fh.write(f"dmat {a.shape[0]} {a.shape[1]} {kind}\n" + body)
 
 
 def write_mon(path, m: MonarchMatrix) -> None:
     kind = "complex" if np.iscomplexobj(m.ltilde.blocks) else "real"
+    body = _format_blocks(m.ltilde.blocks, path) + _format_blocks(m.r.blocks, path)
     with open(path, "w") as fh:
-        fh.write(f"monarch {m.n} {m.b} {kind}\n")
-        for block in m.ltilde.blocks:
-            for line in _value_lines(_flatten(block)):
-                fh.write(line + "\n")
-        for block in m.r.blocks:
-            for line in _value_lines(_flatten(block)):
-                fh.write(line + "\n")
+        fh.write(f"monarch {m.n} {m.b} {kind}\n" + body)
 
 
 def _parse_header(tokens, path):
@@ -78,45 +83,45 @@ def _parse_header(tokens, path):
     return name, first, second, kind
 
 
-def _parse_values(lines, count, kind, path) -> np.ndarray:
+def _parse_values(body: str, count, kind, path) -> np.ndarray:
     scalars = count * (2 if kind == "complex" else 1)
-    raw = []
-    for line in lines:
-        raw.extend(line.split())
+    raw = body.split()
     if len(raw) != scalars:
         raise ParseError(f"{path}: expected {scalars} values, found {len(raw)}")
     try:
-        values = np.array([float(tok) for tok in raw])
+        values = np.array(raw, dtype=np.float64)
     except ValueError as exc:
         raise ParseError(f"{path}: non-numeric value") from exc
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ParseError(f"{path}: non-finite value")
     if kind == "complex":
-        return values[0::2] + 1j * values[1::2]
+        return values.view(np.complex128)
     return values
 
 
-def _read_lines(path):
+def _read_text(path):
+    """The file's first non-blank line and the text after it."""
     try:
         with open(path) as fh:
-            lines = [ln for ln in (raw.strip() for raw in fh) if ln]
+            text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    if not lines:
+    header, _, body = text.lstrip().partition("\n")
+    if not header:
         raise ParseError(f"{path}: empty file")
-    return lines
+    return header, body
 
 
-def _dmat_from_lines(lines, path) -> np.ndarray:
-    name, rows, cols, kind = _parse_header(lines[0].split(), path)
+def _dmat_from_text(header, body, path) -> np.ndarray:
+    name, rows, cols, kind = _parse_header(header.split(), path)
     if name != "dmat":
         raise ParseError(f"{path}: expected dmat header, got {name!r}")
-    values = _parse_values(lines[1:], rows * cols, kind, path)
+    values = _parse_values(body, rows * cols, kind, path)
     return values.reshape(rows, cols)
 
 
-def _mon_from_lines(lines, path) -> MonarchMatrix:
-    name, n, b, kind = _parse_header(lines[0].split(), path)
+def _mon_from_text(header, body, path) -> MonarchMatrix:
+    name, n, b, kind = _parse_header(header.split(), path)
     if name != "monarch":
         raise ParseError(f"{path}: expected monarch header, got {name!r}")
     try:
@@ -124,26 +129,26 @@ def _mon_from_lines(lines, path) -> MonarchMatrix:
     except BadBlocking as exc:
         raise ParseError(f"{path}: invalid blocking n={n}, b={b}") from exc
     q = n // b
-    values = _parse_values(lines[1:], b * q * q + q * b * b, kind, path)
+    values = _parse_values(body, b * q * q + q * b * b, kind, path)
     ltilde = values[: b * q * q].reshape(b, q, q)
     rblocks = values[b * q * q :].reshape(q, b, b)
     return MonarchMatrix(ltilde=BlockDiagMatrix(ltilde), r=BlockDiagMatrix(rblocks))
 
 
 def read_dmat(path) -> np.ndarray:
-    return _dmat_from_lines(_read_lines(path), path)
+    return _dmat_from_text(*_read_text(path), path)
 
 
 def read_mon(path) -> MonarchMatrix:
-    return _mon_from_lines(_read_lines(path), path)
+    return _mon_from_text(*_read_text(path), path)
 
 
 def read_any(path):
     """Dispatch on the header word; returns ("dmat", ndarray) or ("monarch", MonarchMatrix)."""
-    lines = _read_lines(path)
-    word = lines[0].split()[0]
+    header, body = _read_text(path)
+    word = header.split()[0]
     if word == "dmat":
-        return "dmat", _dmat_from_lines(lines, path)
+        return "dmat", _dmat_from_text(header, body, path)
     if word == "monarch":
-        return "monarch", _mon_from_lines(lines, path)
+        return "monarch", _mon_from_text(header, body, path)
     raise ParseError(f"{path}: unknown header {word!r}")

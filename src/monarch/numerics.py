@@ -3,11 +3,12 @@
 Matrices are plain 2-D ndarrays over float64 (real field) or complex128
 (complex field). The solvers here are written out explicitly rather than
 delegated to LAPACK, so each has one inspectable floating-point path. Plain
-block products elsewhere (the apply stages, the factorization's commuting
-family and reconstruction) use np.matmul directly; matmul below serves the
-callers that want its fixed accumulation order (product_to_dense):
+products elsewhere (the apply stages, the factorization's commuting family
+and reconstruction, product_to_dense) use np.matmul directly.
 
-  * matmul        - fixed k-ascending accumulation order (reproducible)
+  * matmul        - fixed k-ascending accumulation order (reproducible);
+                    not exported and called by no library code, kept
+                    because perfbench/spans.py wraps it by name
   * lu_invert     - Gauss-Jordan with partial pivoting and an explicit
                     singularity threshold, over a stack of matrices at once
                     (a single matrix is a batch of one)

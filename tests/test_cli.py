@@ -5,7 +5,7 @@ from monarch import io
 from monarch.butterfly import sylvester_hadamard
 from monarch.cli import main
 from monarch.core import monarch_to_dense, random_monarch
-from monarch.errors import ParseError
+from monarch.errors import NonFiniteValue, ParseError
 
 
 def run(*argv):
@@ -64,6 +64,22 @@ class TestFileFormats:
         bad.write_text("")
         with pytest.raises(ParseError):
             io.read_any(bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_writers_refuse_non_finite_values(self, tmp_path, bad):
+        a = np.ones((3, 3))
+        a[1, 2] = bad
+        path = tmp_path / "a.dmat"
+        with pytest.raises(NonFiniteValue):
+            io.write_dmat(path, a + 1j * np.ones((3, 3)))
+        with pytest.raises(NonFiniteValue):
+            io.write_dmat(path, a)
+        m = random_monarch(16, 4, seed=0)
+        m.r.blocks[3, 0, 1] = bad
+        mon = tmp_path / "m.mon"
+        with pytest.raises(NonFiniteValue):
+            io.write_mon(mon, m)
+        assert not path.exists() and not mon.exists()
 
     def test_read_any_opens_each_file_once(self, tmp_path, monkeypatch):
         opened = []
@@ -228,6 +244,21 @@ class TestMatvecCommand:
         assert run("matvec", "--in", str(dense_path), "--x", str(xpath), "--out", str(y2)) == 0
         a, b = io.read_dmat(y1), io.read_dmat(y2)
         assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(a)
+
+    def test_overflowing_product_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # a finite .mon whose product overflows: the writer refuses the
+        # non-finite result instead of leaving a file the reader rejects
+        m = random_monarch(16, 4, seed=0)
+        m.ltilde.blocks[:] *= 1e200
+        m.r.blocks[:] *= 1e200
+        mon, xpath, out = tmp_path / "big.mon", tmp_path / "x.dmat", tmp_path / "y.dmat"
+        io.write_mon(mon, m)
+        io.write_dmat(xpath, np.ones((16, 1)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run("matvec", "--in", str(mon), "--x", str(xpath), "--out", str(out))
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_wrong_length_vector(self, tmp_path):
         mon = tmp_path / "m.mon"

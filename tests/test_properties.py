@@ -8,14 +8,26 @@ hypothesis; entries come from a seeded numpy generator so every example is
 well scaled. numpy.linalg and the index-level permutation API
 (BlockPermutation, permute_rows/permute_cols, permutation_matrix) serve as
 the independent oracles.
+
+Also: the adjoint identity of the apply paths, butterfly merges against
+butterfly_matvec at every valid block size, and the text formats, whose
+output must match a reference per-value writer byte for byte and read
+back bitwise.
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from monarch import io
 from monarch import numerics as nm
+from monarch.butterfly import butterfly_matvec, butterfly_to_monarch, random_butterfly
 from monarch.core import (
+    MonarchMatrix,
     monarch_dense_oracle,
     monarch_matvec,
     monarch_matvec_adjoint,
@@ -266,3 +278,124 @@ def test_factorize_reconstructs_gauge_transformed_factors(case):
     result = factorize_mm_star(dense, b)
     assert result.reconstruction_error <= 1e-10
     assert np.linalg.norm(result.to_dense() - dense) <= 1e-10 * np.linalg.norm(dense)
+
+
+@given(blockings(), st.sampled_from(["real", "complex"]), st.integers(0, 2**32 - 1))
+def test_adjoint_identity(blocking, field, seed):
+    # <M x, y> = <x, M* y>, with <u, v> = sum u conj(v)
+    n, b = blocking
+    m = random_monarch(n, b, seed=seed, field=field)
+    rng = np.random.default_rng(seed)
+    x, y = _normal(rng, n, field == "complex"), _normal(rng, n, field == "complex")
+    lhs = np.vdot(y, monarch_matvec(m, x))
+    rhs = np.vdot(monarch_matvec_adjoint(m, y), x)
+    scale = np.linalg.norm(monarch_to_dense(m)) * np.linalg.norm(x) * np.linalg.norm(y)
+    assert abs(lhs - rhs) <= 1e-13 * scale
+
+
+@given(st.sampled_from([4, 8, 16, 32, 64]), st.integers(0, 2**32 - 1))
+def test_butterfly_merge_matches_butterfly_matvec(n, seed):
+    bm = random_butterfly(n, seed=seed)
+    rng = np.random.default_rng(seed)
+    probes = [rng.standard_normal(n) for _ in range(3)]
+    norm = np.linalg.norm(bm.to_dense())
+    b = 2
+    while b < n:
+        m = butterfly_to_monarch(bm, b)
+        for x in probes:
+            err = np.linalg.norm(monarch_matvec(m, x) - butterfly_matvec(bm, x))
+            assert err <= 1e-12 * norm * np.linalg.norm(x), (n, b)
+        b *= 2
+
+
+# -- text formats -------------------------------------------------------------
+
+# every finite float64: +-0.0, subnormals and +-1.7976931348623157e308 included
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308, -1e308]
+
+
+def _reference_text(header, blocks):
+    """Per-value f"{v:.17g}", 8 values a line, each block from a new line."""
+    lines = [header]
+    for block in blocks:
+        flat = np.asarray(block).ravel()
+        if np.iscomplexobj(flat):
+            flat = np.column_stack([flat.real, flat.imag]).ravel()
+        values = [f"{v:.17g}" for v in flat.tolist()]
+        lines += [" ".join(values[i : i + 8]) for i in range(0, len(values), 8)]
+    return "\n".join(lines) + "\n"
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@st.composite
+def finite_arrays(draw, shape):
+    """Finite float64 or complex128 entries, signed zeros and extremes included."""
+    elements = FINITE | st.sampled_from(EDGE_VALUES)
+    re = draw(arrays(np.float64, shape, elements=elements))
+    if not draw(st.booleans()):
+        return re
+    out = np.empty(shape, dtype=np.complex128)
+    # assigned, not re + 1j*im, so signed zeros survive
+    out.real, out.imag = re, draw(arrays(np.float64, shape, elements=elements))
+    return out
+
+
+@st.composite
+def dense_files(draw):
+    shape = (draw(st.integers(1, 11)), draw(st.integers(1, 11)))
+    return draw(finite_arrays(shape))
+
+
+@st.composite
+def monarch_files(draw):
+    # b, q in 2..5: blocks of 4 to 25 values, mostly not a multiple of 8
+    b, q = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    stacks = draw(finite_arrays((b * q * q + q * b * b,)))
+    return MonarchMatrix(
+        ltilde=BlockDiagMatrix(stacks[: b * q * q].reshape(b, q, q)),
+        r=BlockDiagMatrix(stacks[b * q * q :].reshape(q, b, b)),
+    )
+
+
+@given(dense_files())
+def test_write_dmat_golden_bytes_and_bitwise_round_trip(a):
+    kind = "complex" if np.iscomplexobj(a) else "real"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a.dmat"
+        io.write_dmat(path, a)
+        assert path.read_bytes() == _reference_text(f"dmat {a.shape[0]} {a.shape[1]} {kind}", [a]).encode()
+        back = io.read_dmat(path)
+    assert back.dtype == a.dtype and back.shape == a.shape
+    assert np.array_equal(_bits(back), _bits(a))
+
+
+@given(monarch_files())
+def test_write_mon_golden_bytes_and_bitwise_round_trip(m):
+    kind = "complex" if np.iscomplexobj(m.ltilde.blocks) else "real"
+    header = f"monarch {m.n} {m.b} {kind}"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.mon"
+        io.write_mon(path, m)
+        assert path.read_bytes() == _reference_text(header, [*m.ltilde.blocks, *m.r.blocks]).encode()
+        back = io.read_mon(path)
+        assert io.read_any(path)[0] == "monarch"
+    assert np.array_equal(_bits(back.ltilde.blocks), _bits(m.ltilde.blocks))
+    assert np.array_equal(_bits(back.r.blocks), _bits(m.r.blocks))
+
+
+def test_reader_accepts_blank_lines_and_any_whitespace(tmp_path):
+    # leading blank lines, a blank line after the header, tabs, runs of
+    # spaces, CRLF endings and values split across lines at any point
+    path = tmp_path / "w.dmat"
+    path.write_bytes(b"\n  \t\n  dmat 2 3   complex \r\n\r\n1 -0\t\t2.5\n\n  -3e-310 4\n5   6\n\n"
+                     b"7 8\t9e300 \n-0 0\n\n")
+    want = np.empty((2, 3), dtype=np.complex128)
+    want.real = [[1.0, 2.5, 4.0], [6.0, 8.0, -0.0]]
+    want.imag = [[-0.0, -3e-310, 5.0], [7.0, 9e300, 0.0]]
+    assert np.array_equal(_bits(io.read_dmat(path)), _bits(want))
+    kind, back = io.read_any(path)
+    assert kind == "dmat" and np.array_equal(_bits(back), _bits(want))
