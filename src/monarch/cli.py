@@ -36,7 +36,6 @@ from .errors import (
     SingularBlock,
 )
 from .factorization import assumption1_check, factorize_mm_star
-from .indexing import permutation_matrix
 from .projection import project, slice_singular_ratios
 from .structured import bd_off_support, db_off_support
 
@@ -77,8 +76,7 @@ def cmd_gen(args) -> int:
         io.write_dmat(args.out, random_butterfly(n, seed=seed).to_dense())
     elif kind == "dft":
         bm, bitrev = dft_butterfly(n)
-        dense = bm.to_dense() @ permutation_matrix(bitrev, dtype=np.complex128)
-        io.write_dmat(args.out, dense)
+        io.write_dmat(args.out, bm.to_dense()[:, bitrev.table])
     elif kind == "hadamard":
         io.write_dmat(args.out, hadamard_butterfly(n).to_dense())
     elif kind == "dense-random":

@@ -3,13 +3,14 @@
 Writing M = (P.T L1 P) R (P.T L2 P) and conjugating, Mt = P M P.T splits
 into a b x b grid of (n/b)-sized blocks Mt_ij = A_i D_ij C_j with diagonal
 D_ij. Under assumption 1 (all D_ij entries nonzero, all blocks invertible)
-the matrices
+the matrices, for i, j >= 1,
 
     F(i, j) = Mt_i0^-1  Mt_ij  Mt_0j^-1  Mt_00
 
-share the eigenbasis C_0^-1, so any simultaneous diagonalizer Q of the
-family is a valid C_0; the remaining factors follow by block division:
-A_i = Mt_i0 Q^-1, C_j = A_0^-1 Mt_0j, D_ij = A_i^-1 Mt_ij C_j^-1.
+share the eigenbasis C_0^-1 (F(i, 0) and F(0, j) are the identity), so any
+simultaneous diagonalizer Q of the family is a valid C_0. In the gauge
+A_i = Mt_i0 Q^-1, C_j = Q Mt_00^-1 Mt_0j the middle factor is read off the
+diagonalization: D_ij = Q F(i, j) Q^-1 and D_i0 = D_0j = I.
 
 Q comes from one path (simultaneous_diagonalize): the eigenvectors of one
 seeded random combination of the whole family, with a second eigensolve
@@ -52,6 +53,7 @@ _SIMDIAG_SEED = 0x5EED
 class SimDiagResult:
     q: np.ndarray  # rows of the simultaneous diagonalizer
     q_inv: np.ndarray  # its inverse: the common eigenvectors as columns
+    conjugated: np.ndarray  # (members, k, k) stack Q G Q^-1, one per input G
     diag_residual: float  # max over inputs of offdiag(Q G Q^-1)_F / |G|_F
 
 
@@ -146,7 +148,7 @@ def simultaneous_diagonalize(family) -> SimDiagResult:
             w_inv = lu_invert(w)
             q[cluster] = w_inv @ q[cluster]
             q_inv[:, cluster] = q_inv[:, cluster] @ w
-            # keep t = Q stack Q^-1 for the final check without a full product
+            # keep t = Q stack Q^-1 up to date without a full product
             t[:, cluster] = w_inv @ t[:, cluster]
             t[:, :, cluster] = t[:, :, cluster] @ w
     except (SingularMatrix, NoConvergence, DefectiveMatrix) as exc:
@@ -154,7 +156,7 @@ def simultaneous_diagonalize(family) -> SimDiagResult:
     residual = _offdiag_ratio(t, stack)
     if residual > SIMDIAG_RESIDUAL_RTOL:
         raise SimDiagFailed(f"off-diagonal residual {residual:.3e} above {SIMDIAG_RESIDUAL_RTOL}")
-    return SimDiagResult(q=q, q_inv=q_inv, diag_residual=residual)
+    return SimDiagResult(q=q, q_inv=q_inv, conjugated=t, diag_residual=residual)
 
 
 def _permuted_blocks(m: np.ndarray, b: int):
@@ -201,30 +203,26 @@ def factorize_mm_star(m, b: int) -> MMStarFactorization:
     except SingularMatrix as exc:
         raise _singular_block(0, exc.index, exc) from exc
 
-    # family F(i, j) = Mt_i0^-1 Mt_ij (Mt_0j^-1 Mt_00), i-major
-    left = inv_col0[:, None] @ blocks
-    add_multiplies(b * b * q**3)
-    right = inv_row0 @ blocks[0, 0]
-    add_multiplies(b * q**3)
-    family = (left @ right[None]).reshape(b * b, q, q)
-    add_multiplies(b * b * q**3)
+    # family F(i, j) = Mt_i0^-1 Mt_ij (Mt_0j^-1 Mt_00) for i, j >= 1, i-major
+    right = inv_row0[1:] @ blocks[0, 0]
+    family = (inv_col0[1:, None] @ blocks[1:, 1:] @ right).reshape((b - 1) ** 2, q, q)
+    add_multiplies((b - 1) * q**3 + 2 * (b - 1) ** 2 * q**3)
 
     sim = simultaneous_diagonalize(family)
     a_blocks = blocks[:, 0] @ sim.q_inv
-    a_invs = lu_invert(a_blocks)
-    c_blocks = np.concatenate([sim.q[None], a_invs[0] @ blocks[0, 1:]])
-    c_invs = lu_invert(c_blocks)
-    d = a_invs[:, None] @ blocks @ c_invs[None]
-    worst_offdiag = max(sim.diag_residual, _offdiag_ratio(d, d))
+    c_blocks = sim.q @ (inv_col0[0] @ blocks[0])
+    worst_offdiag = max(sim.diag_residual, _offdiag_ratio(sim.conjugated, sim.conjugated))
     if worst_offdiag > 1e-6:
         raise SimDiagFailed(
             f"middle blocks are not diagonal (off-diagonal ratio {worst_offdiag:.3e}); "
             "input is not an MM* matrix at this block size"
         )
+    d = np.ones((b, b, q), dtype=np.complex128)
+    d[1:, 1:] = np.diagonal(sim.conjugated, axis1=1, axis2=2).reshape(b - 1, b - 1, q)
     result = MMStarFactorization(
         l1=BlockDiagMatrix(a_blocks),
         l2=BlockDiagMatrix(c_blocks),
-        middle=DiagBlockMatrix(b_row=q, b_col=q, entries=np.diagonal(d, axis1=2, axis2=3).copy()),
+        middle=DiagBlockMatrix(b_row=q, b_col=q, entries=d),
         b=b,
         n=n,
         diag_residual=worst_offdiag,

@@ -9,11 +9,12 @@ monarch:  "monarch <n> <b> <real|complex>" then the b Ltilde blocks (each
 Values are written with 17 significant digits, which round-trips float64
 exactly, so parse(serialize(A)) == A bitwise. Writers put 8 values on a
 line and start each block on a new line; readers accept any whitespace
-between values. Both work in bulk: a writer formats a whole block stack
-with one %-operation and makes one write call, and a reader splits the
-whole file once and converts all values with one numpy call. The format
-stores finite values only: writers raise NonFiniteValue (and write
-nothing) on NaN or infinity, readers raise ParseError.
+between values. Both work in bulk: a writer formats each block stack with
+one %-operation and writes it with one call, so it holds one stack's text
+at a time, and a reader splits the whole file once and converts all values
+with one numpy call. The format stores finite values only: writers raise
+NonFiniteValue (and write nothing) on NaN or infinity, readers raise
+ParseError.
 """
 
 from __future__ import annotations
@@ -40,12 +41,15 @@ def _flatten(a) -> np.ndarray:
     return np.asarray(a, dtype=np.float64).reshape(-1)
 
 
-def _format_blocks(blocks, path) -> str:
+def _check_finite(path, *stacks) -> None:
+    if not all(np.isfinite(stack).all() for stack in stacks):
+        raise NonFiniteValue(f"{path}: cannot write a non-finite value")
+
+
+def _format_blocks(blocks) -> str:
     """Text of a (k, rows, cols) stack: 8 values a line, each block from a new line."""
     blocks = np.asarray(blocks)
     values = _flatten(blocks)
-    if not np.isfinite(values).all():
-        raise NonFiniteValue(f"{path}: cannot write a non-finite value")
     full, rest = divmod(values.size // blocks.shape[0], _VALUES_PER_LINE)
     block = _LINE * full + (" ".join(["%.17g"] * rest) + "\n" if rest else "")
     return (block * blocks.shape[0]) % tuple(values.tolist())
@@ -55,17 +59,21 @@ def write_dmat(path, a) -> None:
     a = np.asarray(a)
     if a.ndim != 2:
         raise ParseError(f"dmat stores 2-D matrices, got ndim={a.ndim}")
+    _check_finite(path, a)
     kind = "complex" if np.iscomplexobj(a) else "real"
-    body = _format_blocks(a[np.newaxis], path)
     with open(path, "w") as fh:
-        fh.write(f"dmat {a.shape[0]} {a.shape[1]} {kind}\n" + body)
+        fh.write(f"dmat {a.shape[0]} {a.shape[1]} {kind}\n")
+        fh.write(_format_blocks(a[np.newaxis]))
 
 
 def write_mon(path, m: MonarchMatrix) -> None:
+    stacks = (m.ltilde.blocks, m.r.blocks)
+    _check_finite(path, *stacks)
     kind = "complex" if np.iscomplexobj(m.ltilde.blocks) else "real"
-    body = _format_blocks(m.ltilde.blocks, path) + _format_blocks(m.r.blocks, path)
     with open(path, "w") as fh:
-        fh.write(f"monarch {m.n} {m.b} {kind}\n" + body)
+        fh.write(f"monarch {m.n} {m.b} {kind}\n")
+        for stack in stacks:
+            fh.write(_format_blocks(stack))
 
 
 def _parse_header(tokens, path):

@@ -25,20 +25,24 @@ def _conjugated(diagonals, seed):
 
 
 def _assert_diagonalizes(res, family, tol):
-    for g in family:
+    assert res.conjugated.shape == (len(family),) + res.q.shape
+    for g, conjugated in zip(family, res.conjugated):
         t = res.q @ g @ res.q_inv
         assert np.linalg.norm(t - np.diag(np.diag(t))) <= tol * np.linalg.norm(g)
+        assert np.linalg.norm(conjugated - t) <= tol * np.linalg.norm(g)
     assert np.linalg.norm(res.q @ res.q_inv - np.eye(len(res.q))) <= 1e-10
 
 
-def _count_eig_calls(monkeypatch):
+def _count_calls(monkeypatch, kernel):
+    """Record the argument shape of every call factorization makes to a numerics kernel."""
     calls = []
+    wrapped = getattr(nm, kernel)
 
     def counted(a):
         calls.append(a.shape)
-        return nm.eig(a)
+        return wrapped(a)
 
-    monkeypatch.setattr(factorization, "eig", counted)
+    monkeypatch.setattr(factorization, kernel, counted)
     return calls
 
 
@@ -107,7 +111,7 @@ class TestSimultaneousDiagonalize:
         lam = np.linalg.eigvals(c0 * family[0] + c1 * family[1])
         gaps = np.abs(lam[:, None] - lam[None, :])[np.triu_indices(4, 1)]
         assert np.sum(gaps <= factorization.CLUSTER_RTOL * np.max(np.abs(lam))) == 1
-        calls = _count_eig_calls(monkeypatch)
+        calls = _count_calls(monkeypatch, "eig")
         res = simultaneous_diagonalize(family)
         assert calls == [(4, 4), (2, 2)]
         assert res.diag_residual <= 1e-10
@@ -117,7 +121,7 @@ class TestSimultaneousDiagonalize:
         # every member is scalar on a 2-D joint eigenspace, so any basis of
         # it serves and the combination's eigenvectors are kept as they are
         family = _conjugated([[2.0, 2.0, 5.0, -1.0], [1.0, 1.0, 4.0, 3.0], [0.5, 0.5, -2.0, 6.0]], seed=5)
-        calls = _count_eig_calls(monkeypatch)
+        calls = _count_calls(monkeypatch, "eig")
         res = simultaneous_diagonalize(family)
         assert calls == [(4, 4)]
         assert res.diag_residual <= 1e-10
@@ -133,6 +137,22 @@ class TestFactorize:
             result = factorize_mm_star(dense, b)
             assert result.reconstruction_error <= 1e-8, (n, b, seed)
             assert result.diag_residual <= 1e-8
+
+    def test_ill_conditioned_row_block_seed_53(self):
+        # permuted block (0, 5) has condition ~5e5: F(0, 5) would equal I only
+        # to cond * eps and miss the residual bound, so the family has i, j >= 1
+        dense = product_to_dense(random_mm_star(64, 8, seed=53))
+        assert factorize_mm_star(dense, 8).reconstruction_error <= 1e-6
+
+    def test_middle_factor_read_off_diagonalization(self, monkeypatch):
+        # inversions of block column 0, block row 0 and Q; D is read off Q F Q^-1
+        calls = _count_calls(monkeypatch, "lu_invert")
+        eig_calls = _count_calls(monkeypatch, "eig")
+        result = factorize_mm_star(product_to_dense(random_mm_star(32, 4, seed=3)), 4)
+        assert eig_calls == [(8, 8)]
+        assert calls == [(4, 8, 8), (4, 8, 8), (8, 8)]
+        d = result.middle.entries
+        assert np.all(d[0] == 1.0) and np.all(d[:, 0] == 1.0)
 
     def test_identity_fails_assumption(self):
         with pytest.raises(SingularBlock):
