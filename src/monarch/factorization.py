@@ -79,6 +79,7 @@ class MMStarFactorization:
         """
         d = self.middle.entries
         blocks = (self.l1.blocks[:, None] * d[:, :, None, :]) @ self.l2.blocks[None]
+        add_multiplies(d.size * d.shape[2] * (d.shape[2] + 1))  # the scaling by D and the block products
         return blocks.transpose(2, 0, 3, 1).reshape(self.n, self.n)
 
 
@@ -130,28 +131,30 @@ def simultaneous_diagonalize(family) -> SimDiagResult:
         raise DimensionMismatch("family members must be square and same size") from exc
     if stack.ndim != 3 or not len(stack) or stack.shape[1] != stack.shape[2]:
         raise DimensionMismatch("family must be a non-empty stack of same-size square matrices")
+    members, k = stack.shape[:2]
     rng = np.random.default_rng(_SIMDIAG_SEED)
     tol = SIMDIAG_RESIDUAL_RTOL * np.maximum(np.linalg.norm(stack, axis=(1, 2)), 1e-300)
     try:
-        res = eig(np.tensordot(rng.standard_normal(len(stack)), stack, axes=1))
+        res = eig(np.tensordot(rng.standard_normal(members), stack, axes=1))
         order, sizes = _cluster_order(res.lam)
         q_inv = res.q[:, order]
-        q = lu_invert(q_inv)
+        q = res.q_inv[order]
         t = q @ stack @ q_inv
+        add_multiplies(members * k * k + 2 * members * k**3)
         starts = np.cumsum([0] + sizes[:-1])
         for start, size in zip(starts, sizes):
             cluster = slice(start, start + size)
             block = t[:, cluster, cluster]
             if size == 1 or np.all(_offdiag_mass(block) <= tol):
                 continue
-            w = eig(np.tensordot(rng.standard_normal(len(stack)), block, axes=1)).q
-            w_inv = lu_invert(w)
-            q[cluster] = w_inv @ q[cluster]
-            q_inv[:, cluster] = q_inv[:, cluster] @ w
+            w = eig(np.tensordot(rng.standard_normal(members), block, axes=1))
+            q[cluster] = w.q_inv @ q[cluster]
+            q_inv[:, cluster] = q_inv[:, cluster] @ w.q
             # keep t = Q stack Q^-1 up to date without a full product
-            t[:, cluster] = w_inv @ t[:, cluster]
-            t[:, :, cluster] = t[:, :, cluster] @ w
-    except (SingularMatrix, NoConvergence, DefectiveMatrix) as exc:
+            t[:, cluster] = w.q_inv @ t[:, cluster]
+            t[:, :, cluster] = t[:, :, cluster] @ w.q
+            add_multiplies(members * size * size + 2 * (members + 1) * size * size * k)
+    except (NoConvergence, DefectiveMatrix) as exc:
         raise SimDiagFailed(f"no common eigenbasis: {exc}") from exc
     residual = _offdiag_ratio(t, stack)
     if residual > SIMDIAG_RESIDUAL_RTOL:
@@ -210,7 +213,8 @@ def factorize_mm_star(m, b: int) -> MMStarFactorization:
 
     sim = simultaneous_diagonalize(family)
     a_blocks = blocks[:, 0] @ sim.q_inv
-    c_blocks = sim.q @ (inv_col0[0] @ blocks[0])
+    c_blocks = (sim.q @ inv_col0[0]) @ blocks[0]
+    add_multiplies((2 * b + 1) * q**3)
     worst_offdiag = max(sim.diag_residual, _offdiag_ratio(sim.conjugated, sim.conjugated))
     if worst_offdiag > 1e-6:
         raise SimDiagFailed(

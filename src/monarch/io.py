@@ -23,6 +23,7 @@ import numpy as np
 
 from .core import MonarchMatrix, resolve_block_size
 from .errors import BadBlocking, NonFiniteValue, ParseError
+from .numerics import dtype_for
 from .structured import BlockDiagMatrix
 
 _VALUES_PER_LINE = 8
@@ -67,11 +68,11 @@ def write_dmat(path, a) -> None:
 
 
 def write_mon(path, m: MonarchMatrix) -> None:
-    stacks = (m.ltilde.blocks, m.r.blocks)
+    # one header kind covers both stacks, so a real stack beside a complex one is written complex
+    stacks = [stack.astype(dtype_for(m.field), copy=False) for stack in (m.ltilde.blocks, m.r.blocks)]
     _check_finite(path, *stacks)
-    kind = "complex" if np.iscomplexobj(m.ltilde.blocks) else "real"
     with open(path, "w") as fh:
-        fh.write(f"monarch {m.n} {m.b} {kind}\n")
+        fh.write(f"monarch {m.n} {m.b} {m.field}\n")
         for stack in stacks:
             fh.write(_format_blocks(stack))
 

@@ -16,7 +16,10 @@ and reconstruction, product_to_dense) use np.matmul directly.
                     each sweep is a Brent-Luk round-robin of disjoint column
                     pairs, and one round rotates those pairs in every matrix
                     of the stack at once (a single matrix is a batch of one)
-  * eig           - Hessenberg reduction + shifted QR in complex arithmetic
+  * eig           - Hessenberg reduction + shifted QR in complex arithmetic,
+                    each Givens rotation applied to just its two rows and
+                    columns (O(k^3) in all); EigResult.q_inv is the inverse
+                    eigenbasis that the defectiveness check computes anyway
 
 All functions are pure; none mutate their inputs.
 """
@@ -50,6 +53,7 @@ SINGULAR_PIVOT_RTOL = 1e-12
 DEFECTIVE_CONDITION = 1e10
 
 _SVD_MAX_SWEEPS = 60
+_QR_STEPS_PER_EIGENVALUE = 60
 _SVD_ORTH_TOL = 1e-14
 
 
@@ -332,6 +336,7 @@ def cond_estimate(a) -> float:
 class EigResult:
     q: np.ndarray  # eigenvector columns, unit norm
     lam: np.ndarray  # eigenvalues, order matching q's columns (unsorted)
+    q_inv: np.ndarray  # inverse of q, as computed for the defectiveness check
 
 
 def _hessenberg(a: np.ndarray):
@@ -371,13 +376,17 @@ def _wilkinson_shift(t, hi):
     return mu1 if abs(mu1 - d) <= abs(mu2 - d) else mu2
 
 
-def _schur(h: np.ndarray, budget_per_eigenvalue: int = 60):
-    """Shifted QR iteration on a Hessenberg matrix: h = z @ t @ z*."""
+def _schur(h: np.ndarray):
+    """Shifted QR iteration on a Hessenberg matrix: h = z @ t @ z*.
+
+    Each Givens rotation of a QR step touches two rows and two columns, so a
+    step costs O(n^2) and the whole iteration O(n^3).
+    """
     n = h.shape[0]
     t = h.astype(np.complex128).copy()
     z = np.eye(n, dtype=np.complex128)
     scale = max(float(np.linalg.norm(t)), 1.0)
-    budget = budget_per_eigenvalue * max(n, 1)
+    budget = _QR_STEPS_PER_EIGENVALUE * max(n, 1)
     steps = 0
     hi = n - 1
     stagnation = 0
@@ -402,12 +411,12 @@ def _schur(h: np.ndarray, budget_per_eigenvalue: int = 60):
             mu = t[hi, hi] + 0.75 * abs(t[hi, hi - 1])  # exceptional shift
         else:
             mu = _wilkinson_shift(t, hi)
-        size = hi - lo + 1
-        block = t[lo : hi + 1, lo : hi + 1] - mu * np.eye(size, dtype=np.complex128)
-        rot = np.eye(size, dtype=np.complex128)
-        for k in range(size - 1):
-            f = block[k, k]
-            g = block[k + 1, k]
+        window = np.arange(lo, hi + 1)
+        t[window, window] -= mu
+        rotations = []
+        touched = 0
+        for k in range(lo, hi):
+            f, g = t[k, k], t[k + 1, k]
             denom = math.hypot(abs(f), abs(g))
             if denom == 0.0:
                 continue
@@ -416,40 +425,34 @@ def _schur(h: np.ndarray, budget_per_eigenvalue: int = 60):
             else:
                 cs = abs(f) / denom
                 sn = (f / abs(f)) * np.conj(g) / denom
-            gmat = np.eye(size, dtype=np.complex128)
-            gmat[k, k] = cs
-            gmat[k, k + 1] = sn
-            gmat[k + 1, k] = -np.conj(sn)
-            gmat[k + 1, k + 1] = cs
-            block = gmat @ block
-            rot = gmat @ rot
-        add_multiplies(6 * size * size)
-        # similarity transform by rot*: t <- (rot t rot*) on the window
-        t[lo : hi + 1, :] = rot @ t[lo : hi + 1, :]
-        t[:, lo : hi + 1] = t[:, lo : hi + 1] @ rot.conj().T
-        z[:, lo : hi + 1] = z[:, lo : hi + 1] @ rot.conj().T
-        add_multiplies(4 * size * size * n)
+            rot = np.array([[cs, sn], [-np.conj(sn), cs]])
+            t[k : k + 2, k:] = rot @ t[k : k + 2, k:]
+            rotations.append((k, rot.conj().T))
+            touched += n - k
+        # columns after all rows: each column rotation changes the next f, g
+        for k, rot_h in rotations:
+            end = min(k + 3, hi + 1)  # rows below are zero in columns k, k+1
+            t[:end, k : k + 2] = t[:end, k : k + 2] @ rot_h
+            z[:, k : k + 2] = z[:, k : k + 2] @ rot_h
+            touched += end + n
+        t[window, window] += mu
+        add_multiplies(4 * touched)
     return t, z
 
 
 def _triangular_eigenvectors(t: np.ndarray):
-    """Eigenvectors of an upper-triangular matrix by back-substitution."""
+    """Eigenvectors of an upper-triangular matrix by back-substitution, bottom
+    up: one step solves row i of (t - t_jj) y_j = 0 for every column j > i."""
     n = t.shape[0]
-    y = np.zeros((n, n), dtype=np.complex128)
+    y = np.eye(n, dtype=np.complex128)
     scale = max(float(np.max(np.abs(t))), 1.0)
-    for j in range(n):
-        y[j, j] = 1.0
-        for i in range(j - 1, -1, -1):
-            rhs = -(t[i, i + 1 : j + 1] @ y[i + 1 : j + 1, j])
-            denom = t[i, i] - t[j, j]
-            if abs(denom) < EPS * scale:
-                denom = EPS * scale
-            y[i, j] = rhs / denom
-        nrm = float(np.linalg.norm(y[: j + 1, j]))
-        if nrm > 0.0:
-            y[: j + 1, j] /= nrm
+    for i in range(n - 2, -1, -1):
+        denom = t[i, i] - t.diagonal()[i + 1 :]
+        denom[np.abs(denom) < EPS * scale] = EPS * scale
+        # y is upper triangular: column j has no entries below row j
+        y[i, i + 1 :] = -(t[i, i + 1 :] @ y[i + 1 :, i + 1 :]) / denom
     add_multiplies(n * n * n // 3)
-    return y
+    return y / np.linalg.norm(y, axis=0)
 
 
 def eig(a) -> EigResult:
@@ -468,10 +471,9 @@ def eig(a) -> EigResult:
         raise NoConvergence("qr eigensolver: non-finite entry")
     n = a.shape[0]
     ac = a.astype(np.complex128)
-    if n == 0:
-        return EigResult(q=ac.copy(), lam=np.zeros(0, dtype=np.complex128))
-    if n == 1:
-        return EigResult(q=np.ones((1, 1), dtype=np.complex128), lam=ac[0].copy())
+    if n <= 1:
+        one = np.ones((n, n), dtype=np.complex128)
+        return EigResult(q=one, lam=ac.diagonal().copy(), q_inv=one.copy())
     h, q0 = _hessenberg(ac)
     t, z = _schur(h)
     basis = (q0 @ z) @ _triangular_eigenvectors(t)
@@ -486,4 +488,4 @@ def eig(a) -> EigResult:
     cond = frobenius(basis) * frobenius(inv_basis)
     if cond > DEFECTIVE_CONDITION:
         raise DefectiveMatrix(f"eigenvector condition estimate {cond:.3e}")
-    return EigResult(q=basis, lam=lam)
+    return EigResult(q=basis, lam=lam, q_inv=inv_basis)

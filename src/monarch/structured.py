@@ -71,18 +71,16 @@ class BlockDiagMatrix:
         a = np.asarray(a)
         if not bd_membership(a, block_rows, block_cols):
             raise BadBlocking("matrix has entries outside the block-diagonal support")
-        q = a.shape[0] // block_rows
-        blocks = np.stack(
-            [a[i * block_rows : (i + 1) * block_rows, i * block_cols : (i + 1) * block_cols] for i in range(q)]
-        )
-        return cls(blocks)
+        idx = np.arange(a.shape[0] // block_rows)
+        # block i is entry (i, :, i, :) of the 4-D view
+        return cls(a.reshape(len(idx), block_rows, len(idx), block_cols)[idx, :, idx])
 
     def to_dense(self) -> np.ndarray:
         q, b2, b1 = self.blocks.shape
-        out = np.zeros((q * b2, q * b1), dtype=self.blocks.dtype)
-        for i in range(q):
-            out[i * b2 : (i + 1) * b2, i * b1 : (i + 1) * b1] = self.blocks[i]
-        return out
+        out = np.zeros((q, b2, q, b1), dtype=self.blocks.dtype)
+        idx = np.arange(q)
+        out[idx, :, idx] = self.blocks
+        return out.reshape(q * b2, q * b1)
 
     def transpose(self) -> "BlockDiagMatrix":
         return BlockDiagMatrix(np.swapaxes(self.blocks, 1, 2).copy())
@@ -148,22 +146,17 @@ class DiagBlockMatrix:
         if not db_membership(a, b_row, b_col):
             raise BadBlocking("matrix has entries outside the wrapped-diagonal support")
         gr, gc = a.shape[0] // b_row, a.shape[1] // b_col
-        length = max(b_row, b_col)
         rows, cols = _wrapped_support(b_row, b_col)
-        entries = np.empty((gr, gc, length), dtype=a.dtype)
-        for i1 in range(gr):
-            for j1 in range(gc):
-                entries[i1, j1] = a[i1 * b_row + rows, j1 * b_col + cols]
-        return cls(b_row=b_row, b_col=b_col, entries=entries)
+        # (grid row, grid col, row in block, col in block) view of a
+        blocks = a.reshape(gr, b_row, gc, b_col).transpose(0, 2, 1, 3)
+        return cls(b_row=b_row, b_col=b_col, entries=np.ascontiguousarray(blocks[:, :, rows, cols]))
 
     def to_dense(self) -> np.ndarray:
         gr, gc = self.grid
-        out = np.zeros(self.shape, dtype=self.entries.dtype)
+        out = np.zeros((gr, self.b_row, gc, self.b_col), dtype=self.entries.dtype)
         rows, cols = _wrapped_support(self.b_row, self.b_col)
-        for i1 in range(gr):
-            for j1 in range(gc):
-                out[i1 * self.b_row + rows, j1 * self.b_col + cols] = self.entries[i1, j1]
-        return out
+        out.transpose(0, 2, 1, 3)[:, :, rows, cols] = self.entries
+        return out.reshape(self.shape)
 
 
 def _wrapped_support(b_row: int, b_col: int):

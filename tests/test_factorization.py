@@ -145,12 +145,13 @@ class TestFactorize:
         assert factorize_mm_star(dense, 8).reconstruction_error <= 1e-6
 
     def test_middle_factor_read_off_diagonalization(self, monkeypatch):
-        # inversions of block column 0, block row 0 and Q; D is read off Q F Q^-1
+        # inversions of block column 0 and block row 0 (Q^-1 comes with the
+        # eigenbasis); D is read off Q F Q^-1
         calls = _count_calls(monkeypatch, "lu_invert")
         eig_calls = _count_calls(monkeypatch, "eig")
         result = factorize_mm_star(product_to_dense(random_mm_star(32, 4, seed=3)), 4)
         assert eig_calls == [(8, 8)]
-        assert calls == [(4, 8, 8), (4, 8, 8), (8, 8)]
+        assert calls == [(4, 8, 8), (4, 8, 8)]
         d = result.middle.entries
         assert np.all(d[0] == 1.0) and np.all(d[:, 0] == 1.0)
 
@@ -239,6 +240,19 @@ class TestFactorize:
             counts[b] = tally.multiplies
         ratio = counts[4] / counts[8]
         assert 2.0 / 3.0 <= ratio <= 6.0
+
+    def test_multiply_count_covers_block_products(self):
+        # beyond the kernels' own counts: the family, T = Q F Q^-1, the A and
+        # C blocks, and the reconstruction in to_dense
+        n, b = 64, 8
+        q, members = n // b, (b - 1) ** 2
+        dense = product_to_dense(random_mm_star(n, b, seed=1))
+        with count_multiplies() as tally:
+            factorize_mm_star(dense, b)
+        family = (b - 1) * q**3 + 2 * members * q**3
+        done = family + 2 * members * q**3 + (2 * b + 1) * q**3 + b * b * q**3
+        assert done == 145408
+        assert tally.multiplies >= done
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_rejected(self, bad):

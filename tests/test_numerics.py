@@ -281,6 +281,18 @@ class TestEig:
         with pytest.raises(NoConvergence, match="non-finite"):
             nm.eig(a)
 
+    def test_multiplies_grow_as_cube(self):
+        # each Givens rotation touches two rows and two columns: O(k^3) in
+        # all, so doubling k multiplies the count by about 8 (a dense
+        # rotation matrix per rotation gives about 16)
+        counts = []
+        for k in (32, 64):
+            a = np.random.default_rng(k).standard_normal((k, k))
+            with count_multiplies() as tally:
+                nm.eig(a)
+            counts.append(tally.multiplies)
+        assert counts[1] / counts[0] <= 10
+
     def test_real_input_promoted(self):
         # rotation matrix has complex eigenvalues; real input must still work
         theta = 0.7

@@ -1,5 +1,6 @@
 """Property tests for the batched Jacobi SVD and the projection built on it,
-for the batched Gauss-Jordan inversion, for the reshape-transpose form
+for the batched Gauss-Jordan inversion, for the QR eigensolver on
+conjugated diagonal matrices, for the reshape-transpose form
 of P against the index-table references, and for MM* factorization of
 gauge-transformed factors.
 
@@ -122,6 +123,25 @@ def test_lu_invert_stack_matches_single_matrices(a):
         cond = np.linalg.cond(a[i])
         assert np.linalg.norm(inv[i] - single) <= 1e-13 * cond * np.linalg.norm(single)
         assert np.linalg.norm(a[i] @ inv[i] - eye) <= 1e-13 * cond * a.shape[1]
+
+
+@st.composite
+def conjugated_diagonals(draw):
+    """C diag(d) C^-1 with distinct d and a well-conditioned C, real or complex."""
+    k = draw(st.integers(1, 24))
+    cplx = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = _normal(rng, (k, k), cplx) + k * np.eye(k)
+    d = _normal(rng, k, cplx)
+    return np.linalg.solve(c.T, (c * d).T).T  # (c * d) @ c^-1
+
+
+@given(conjugated_diagonals())
+def test_eig_residual_and_inverse_basis(a):
+    res = nm.eig(a)
+    assert np.linalg.norm(a @ res.q - res.q * res.lam) <= 1e-8 * np.linalg.norm(a)
+    cond = np.linalg.norm(res.q) * np.linalg.norm(res.q_inv)
+    assert np.linalg.norm(res.q_inv @ res.q - np.eye(len(a))) <= 1e-10 * cond
 
 
 @st.composite
@@ -352,12 +372,12 @@ def dense_files(draw):
 
 @st.composite
 def monarch_files(draw):
-    # b, q in 2..5: blocks of 4 to 25 values, mostly not a multiple of 8
+    # b, q in 2..5: blocks of 4 to 25 values, mostly not a multiple of 8;
+    # each stack draws its own field, so real beside complex occurs
     b, q = draw(st.integers(2, 5)), draw(st.integers(2, 5))
-    stacks = draw(finite_arrays((b * q * q + q * b * b,)))
     return MonarchMatrix(
-        ltilde=BlockDiagMatrix(stacks[: b * q * q].reshape(b, q, q)),
-        r=BlockDiagMatrix(stacks[b * q * q :].reshape(q, b, b)),
+        ltilde=BlockDiagMatrix(draw(finite_arrays((b, q, q)))),
+        r=BlockDiagMatrix(draw(finite_arrays((q, b, b)))),
     )
 
 
@@ -375,16 +395,19 @@ def test_write_dmat_golden_bytes_and_bitwise_round_trip(a):
 
 @given(monarch_files())
 def test_write_mon_golden_bytes_and_bitwise_round_trip(m):
-    kind = "complex" if np.iscomplexobj(m.ltilde.blocks) else "real"
-    header = f"monarch {m.n} {m.b} {kind}"
+    # one complex stack makes the file complex; the real one gains +0.0 imaginary parts
+    cplx = np.iscomplexobj(m.ltilde.blocks) or np.iscomplexobj(m.r.blocks)
+    dtype = np.complex128 if cplx else np.float64
+    ltilde, r = m.ltilde.blocks.astype(dtype), m.r.blocks.astype(dtype)
+    header = f"monarch {m.n} {m.b} {'complex' if cplx else 'real'}"
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.mon"
         io.write_mon(path, m)
-        assert path.read_bytes() == _reference_text(header, [*m.ltilde.blocks, *m.r.blocks]).encode()
+        assert path.read_bytes() == _reference_text(header, [*ltilde, *r]).encode()
         back = io.read_mon(path)
         assert io.read_any(path)[0] == "monarch"
-    assert np.array_equal(_bits(back.ltilde.blocks), _bits(m.ltilde.blocks))
-    assert np.array_equal(_bits(back.r.blocks), _bits(m.r.blocks))
+    assert np.array_equal(_bits(back.ltilde.blocks), _bits(ltilde))
+    assert np.array_equal(_bits(back.r.blocks), _bits(r))
 
 
 def test_reader_accepts_blank_lines_and_any_whitespace(tmp_path):
