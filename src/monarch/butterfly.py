@@ -1,4 +1,5 @@
-"""Butterfly matrices, their merge into Monarch form, and transform oracles.
+"""Butterfly matrices, their merge into Monarch form, and the DFT and Hadamard
+butterflies.
 
 A butterfly factor of even size k is [[D1, D2], [D3, D4]] with diagonal
 quadrants; a butterfly factor matrix of size n and block size k is block
@@ -30,9 +31,9 @@ from .indexing import BlockPermutation, IndexPermutation
 from .structured import BlockDiagMatrix, DiagBlockMatrix, db_to_bd
 
 
-def _check_power_of_two(n: int, minimum: int = 2) -> int:
-    if n < minimum or n & (n - 1):
-        raise BadSize(f"size must be a power of two >= {minimum}, got {n}")
+def _check_power_of_two(n: int) -> int:
+    if n < 2 or n & (n - 1):
+        raise BadSize(f"size must be a power of two >= 2, got {n}")
     return int(n).bit_length() - 1
 
 
@@ -226,18 +227,3 @@ def hadamard_butterfly(n: int) -> ButterflyMatrix:
         diag[:, 1, 1] = -1.0
         factors.append(ButterflyFactorMatrix(n=n, k=k, diagonals=diag))
     return ButterflyMatrix(n=n, factors=factors)
-
-
-def dft_matrix(n: int) -> np.ndarray:
-    """Direct Vandermonde evaluation, entry (j, k) = omega**(j*k)."""
-    j, k = np.indices((n, n))
-    return np.exp(-2j * np.pi * (j * k % n) / n)
-
-
-def sylvester_hadamard(n: int) -> np.ndarray:
-    """H_2 = [[1,1],[1,-1]], H_{2m} = [[H, H], [H, -H]]."""
-    _check_power_of_two(n, minimum=1)
-    h = np.ones((1, 1))
-    while h.shape[0] < n:
-        h = np.block([[h, h], [h, -h]])
-    return h

@@ -24,7 +24,6 @@ import numpy as np
 
 from .counting import add_multiplies
 from .errors import BadBlocking, DimensionMismatch, NoConvergence
-from .indexing import BlockPermutation, permutation_matrix
 from .numerics import COMPLEX, REAL, cond_estimate, dtype_for
 from .structured import BlockDiagMatrix, bd_matvec, bd_matvec_adjoint
 
@@ -126,12 +125,6 @@ def monarch_flop_count(m: MonarchMatrix) -> int:
     """Scalar multiplies per matvec: n*b + n^2/b."""
     n, b = m.n, m.b
     return n * b + n * n // b
-
-
-def monarch_dense_oracle(m: MonarchMatrix) -> np.ndarray:
-    """Dense form computed the slow way, P.T L P R as explicit matrices."""
-    p = permutation_matrix(BlockPermutation(m.b, m.n), dtype=m.ltilde.blocks.dtype)
-    return p.T @ m.ltilde.to_dense() @ p @ m.r.to_dense()
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +245,7 @@ ASSUMPTION1 = "assumption1"
 
 _MIN_MIDDLE_ENTRY = 0.1
 _MAX_BLOCK_CONDITION = 1e4
-#: candidate draws per block, and entry redraw rounds, before a sampler gives up
+#: redraw rounds before the sampler gives up
 _DRAW_BUDGET = 1000
 
 
@@ -262,31 +255,40 @@ def _standard_blocks(rng, shape, field):
     return rng.standard_normal(shape)
 
 
-def _conditioned_blocks(rng, count, size, field):
-    """Blocks resampled until each condition estimate is <= 1e4."""
-    blocks = np.empty((count, size, size), dtype=dtype_for(field))
-    for i in range(count):
-        for _ in range(_DRAW_BUDGET):
-            cand = _standard_blocks(rng, (size, size), field)
-            if cond_estimate(cand) <= _MAX_BLOCK_CONDITION:
-                blocks[i] = cand
-                break
-        else:
-            raise NoConvergence(
-                f"no block with condition <= {_MAX_BLOCK_CONDITION:g} in {_DRAW_BUDGET} draws"
-            )
-    return BlockDiagMatrix(blocks)
+def _ill_conditioned(blocks):
+    """Blocks whose condition estimate is not <= 1e4 (NaN counts as above)."""
+    return np.logical_not(cond_estimate(blocks) <= _MAX_BLOCK_CONDITION)
 
 
-def _nonzero_entry_blocks(rng, count, size, field):
-    """Blocks with every entry magnitude >= 0.1, resampled entrywise."""
+def _small_entries(blocks):
+    """Entries with magnitude below 0.1."""
+    return np.abs(blocks) < _MIN_MIDDLE_ENTRY
+
+
+def _keep_all(blocks):
+    return np.zeros(len(blocks), dtype=bool)
+
+
+def _reject_rules(constraints):
+    """(L-stack rule, middle-stack rule): each maps a block stack to a mask of
+    the blocks, or of the entries, to redraw."""
+    if constraints == ASSUMPTION1:
+        return _ill_conditioned, _small_entries
+    if constraints is None:
+        return _keep_all, _keep_all
+    raise ValueError(f"unknown constraints {constraints!r}")
+
+
+def _sample_blocks(rng, count, size, field, reject) -> BlockDiagMatrix:
+    """A (count, size, size) stack of standard normal blocks in which what
+    `reject` flags is redrawn, one batch per round, until nothing is."""
     blocks = _standard_blocks(rng, (count, size, size), field)
     for _ in range(_DRAW_BUDGET):
-        small = np.abs(blocks) < _MIN_MIDDLE_ENTRY
-        if not small.any():
+        bad = reject(blocks)
+        if not bad.any():
             return BlockDiagMatrix(blocks)
-        blocks[small] = _standard_blocks(rng, (int(small.sum()),), field)
-    raise NoConvergence(f"entries below {_MIN_MIDDLE_ENTRY} remain after {_DRAW_BUDGET} redraws")
+        blocks[bad] = _standard_blocks(rng, blocks[bad].shape, field)
+    raise NoConvergence(f"{reject.__name__} still flags draws after {_DRAW_BUDGET} rounds of redraws")
 
 
 def random_monarch(
@@ -300,20 +302,15 @@ def random_monarch(
 
     constraints=ASSUMPTION1 enforces the factorization preconditions:
     R-block entries bounded away from zero and well-conditioned Ltilde
-    blocks. Deterministic under seed. Raises NoConvergence when a resampler
-    exhausts its draw budget.
+    blocks. Deterministic under seed. Raises NoConvergence when the sampler
+    exhausts its redraw budget.
     """
     b = resolve_block_size(n, b)
     q = n // b
+    l_rule, r_rule = _reject_rules(constraints)
     rng = np.random.default_rng(seed)
-    if constraints == ASSUMPTION1:
-        ltilde = _conditioned_blocks(rng, b, q, field)
-        r = _nonzero_entry_blocks(rng, q, b, field)
-    elif constraints is None:
-        ltilde = BlockDiagMatrix(_standard_blocks(rng, (b, q, q), field))
-        r = BlockDiagMatrix(_standard_blocks(rng, (q, b, b), field))
-    else:
-        raise ValueError(f"unknown constraints {constraints!r}")
+    ltilde = _sample_blocks(rng, b, q, field, l_rule)
+    r = _sample_blocks(rng, q, b, field, r_rule)
     return MonarchMatrix(ltilde=ltilde, r=r)
 
 
@@ -334,17 +331,11 @@ def random_mm_star(
     """
     b = resolve_block_size(n, b)
     q = n // b
+    l_rule, middle_rule = _reject_rules(constraints)
     rng = np.random.default_rng(seed)
-    if constraints == ASSUMPTION1:
-        l1 = _conditioned_blocks(rng, b, q, field)
-        l2 = _conditioned_blocks(rng, b, q, field)
-        middle = _nonzero_entry_blocks(rng, q, b, field)
-    elif constraints is None:
-        l1 = BlockDiagMatrix(_standard_blocks(rng, (b, q, q), field))
-        l2 = BlockDiagMatrix(_standard_blocks(rng, (b, q, q), field))
-        middle = BlockDiagMatrix(_standard_blocks(rng, (q, b, b), field))
-    else:
-        raise ValueError(f"unknown constraints {constraints!r}")
+    l1 = _sample_blocks(rng, b, q, field, l_rule)
+    l2 = _sample_blocks(rng, b, q, field, l_rule)
+    middle = _sample_blocks(rng, q, b, field, middle_rule)
     m1 = MonarchMatrix(ltilde=l1, r=middle)
     m2 = MonarchMatrix(
         ltilde=l2.conj_transpose(),

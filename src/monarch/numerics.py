@@ -16,9 +16,13 @@ and reconstruction, product_to_dense) use np.matmul directly.
                     each sweep is a Brent-Luk round-robin of disjoint column
                     pairs, and one round rotates those pairs in every matrix
                     of the stack at once (a single matrix is a batch of one)
-  * eig           - Hessenberg reduction + shifted QR in complex arithmetic,
-                    each Givens rotation applied to just its two rows and
-                    columns (O(k^3) in all); EigResult.q_inv is the inverse
+  * cond_estimate - sigma_max / sigma_min from one svd call, for a matrix or
+                    each matrix of a stack; inf where sigma_min is zero
+  * eig           - Hessenberg reduction (exactly zero below the
+                    subdiagonal) + shifted QR in complex arithmetic, each
+                    Givens rotation applied to just its two rows and columns
+                    (O(k^3) in all) and the deflation scan one vectorized
+                    comparison per step; EigResult.q_inv is the inverse
                     eigenbasis that the defectiveness check computes anyway
 
 All functions are pure; none mutate their inputs.
@@ -319,13 +323,15 @@ def rank1_approx(a):
     return u, v
 
 
-def cond_estimate(a) -> float:
-    """sigma_max / sigma_min; inf when the smallest singular value is zero."""
+def cond_estimate(a):
+    """sigma_max / sigma_min of a matrix, or of each matrix of a stack (a
+    single matrix is a batch of one); inf where sigma_min is zero."""
     s = svd(a).s
-    smallest = s[-1] if len(s) else 0.0
-    if smallest == 0.0:
-        return math.inf
-    return float(s[0] / smallest)
+    if not s.shape[-1]:  # an empty matrix has no nonzero singular value
+        s = np.zeros(s.shape[:-1] + (1,))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(s[..., -1] == 0.0, np.inf, s[..., 0] / s[..., -1])
+    return float(cond) if np.ndim(a) == 2 else cond
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +365,7 @@ def _hessenberg(a: np.ndarray):
         v /= vnorm
         h[k + 1 :, k:] -= 2.0 * np.multiply.outer(v, v.conj() @ h[k + 1 :, k:])
         h[:, k + 1 :] -= 2.0 * np.multiply.outer(h[:, k + 1 :] @ v, v.conj())
+        h[k + 2 :, k] = 0.0  # the reflection zeroes these up to rounding
         q[:, k + 1 :] -= 2.0 * np.multiply.outer(q[:, k + 1 :] @ v, v.conj())
         add_multiplies(4 * n * (n - k))
     return h, q
@@ -391,18 +398,16 @@ def _schur(h: np.ndarray):
     hi = n - 1
     stagnation = 0
     while hi > 0:
-        # deflate converged subdiagonals
-        for k in range(hi, 0, -1):
-            tol = EPS * (abs(t[k - 1, k - 1]) + abs(t[k, k])) + 1e-300
-            if abs(t[k, k - 1]) <= max(tol, EPS * scale * 1e-4):
-                t[k, k - 1] = 0.0
-        if t[hi, hi - 1] == 0.0:
+        # deflate converged subdiagonals: t[k + 1, k] for each k found
+        diag = np.abs(np.diagonal(t)[: hi + 1])
+        tol = np.maximum(EPS * (diag[:-1] + diag[1:]) + 1e-300, EPS * scale * 1e-4)
+        k = np.flatnonzero(np.abs(np.diagonal(t, -1)[:hi]) <= tol)
+        t[k + 1, k] = 0.0
+        if len(k) and k[-1] == hi - 1:
             hi -= 1
             stagnation = 0
             continue
-        lo = hi
-        while lo > 0 and t[lo, lo - 1] != 0.0:
-            lo -= 1
+        lo = int(k[-1]) + 1 if len(k) else 0
         steps += 1
         stagnation += 1
         if steps > budget:

@@ -18,7 +18,6 @@ from monarch.butterfly import (
     dft_butterfly,
     hadamard_butterfly,
     random_butterfly,
-    sylvester_hadamard,
 )
 from monarch.cli import main as cli_main
 from monarch.core import (
@@ -35,6 +34,7 @@ from monarch.factorization import factorize_mm_star
 from monarch.indexing import BlockPermutation, permutation_matrix, permute_vector
 from monarch.projection import project, slice_singular_ratios, slice_view
 from monarch.structured import DiagBlockMatrix, db_to_bd
+from oracles import sylvester_hadamard
 
 
 @contextmanager

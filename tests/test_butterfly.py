@@ -7,16 +7,15 @@ from monarch.butterfly import (
     butterfly_matvec,
     butterfly_to_monarch,
     dft_butterfly,
-    dft_matrix,
     hadamard_butterfly,
     random_butterfly,
-    sylvester_hadamard,
 )
 from monarch.core import monarch_to_dense
 from monarch.errors import BadBlocking, BadSize, DimensionMismatch
 from monarch.indexing import permutation_matrix, permute_vector
 from monarch.projection import project, slice_singular_ratios
 from monarch.structured import bd_membership, db_membership
+from oracles import dft_matrix, sylvester_hadamard
 
 
 def direct_dft(x):

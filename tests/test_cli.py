@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from monarch import io
-from monarch.butterfly import sylvester_hadamard
 from monarch.cli import main
 from monarch.core import monarch_to_dense, random_monarch
 from monarch.errors import NonFiniteValue, ParseError
+from oracles import sylvester_hadamard
 
 
 def run(*argv):

@@ -7,7 +7,6 @@ from monarch.core import (
     MonarchMatrix,
     hierarchy,
     mm_star,
-    monarch_dense_oracle,
     monarch_flop_count,
     monarch_matvec,
     monarch_matvec_adjoint,
@@ -26,6 +25,7 @@ from monarch.indexing import BlockPermutation, permutation_matrix
 from monarch.numerics import lu_invert
 from monarch.projection import slice_singular_ratios
 from monarch.structured import BlockDiagMatrix
+from oracles import monarch_dense_oracle
 
 
 def counted_matvec_oracle(m, x):
@@ -248,6 +248,27 @@ class TestRandomInstances:
             random_monarch(16, 4, seed=9, constraints=ASSUMPTION1)
         with pytest.raises(NoConvergence, match="draws"):
             random_mm_star(16, 4, seed=9)
+
+    def test_conditioned_sampler_one_svd_per_stack(self, monkeypatch):
+        from monarch import numerics
+
+        calls = []
+        svd = numerics.svd
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(numerics, "svd", counted)
+        monkeypatch.setattr(core, "_MAX_BLOCK_CONDITION", np.inf)
+        random_mm_star(64, 8, seed=0)
+        assert calls == [(8, 8, 8), (8, 8, 8)]
+
+    def test_unknown_constraints(self):
+        with pytest.raises(ValueError, match="unknown constraints"):
+            random_monarch(16, 4, constraints="none")
+        with pytest.raises(ValueError, match="unknown constraints"):
+            random_mm_star(16, 4, constraints="assumption2")
 
     def test_nonzero_entry_sampler_bounded(self, monkeypatch):
         monkeypatch.setattr(core, "_MIN_MIDDLE_ENTRY", np.inf)

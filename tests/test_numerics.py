@@ -193,6 +193,26 @@ class TestSvd:
             nm.svd(np.ones(3))
 
 
+class TestCondEstimate:
+    def test_stack_matches_single_matrices(self):
+        rng = np.random.default_rng(21)
+        a = rng.standard_normal((5, 6, 6)) + 1j * rng.standard_normal((5, 6, 6))
+        a[3] = 0.0
+        conds = nm.cond_estimate(a)
+        assert conds.shape == (5,)
+        assert conds[3] == np.inf
+        for i in (0, 1, 2, 4):
+            single = nm.cond_estimate(a[i])
+            assert isinstance(single, float)
+            assert abs(conds[i] - single) <= 1e-12 * single
+            assert abs(conds[i] - np.linalg.cond(a[i])) <= 1e-9 * conds[i]
+
+    def test_singular_and_empty(self):
+        assert nm.cond_estimate(np.diag([2.0, 0.0])) == np.inf
+        assert nm.cond_estimate(np.diag([4.0, 0.5])) == 8.0
+        assert nm.cond_estimate(np.zeros((0, 0))) == np.inf
+
+
 class TestRank1Approx:
     def test_dominant_pair(self):
         u, v = nm.rank1_approx(np.array([[2.0, 0.0], [0.0, 1.0]]))

@@ -28,11 +28,12 @@ from monarch import io
 from monarch import numerics as nm
 from monarch.butterfly import butterfly_matvec, butterfly_to_monarch, random_butterfly
 from monarch.core import (
+    ASSUMPTION1,
     MonarchMatrix,
-    monarch_dense_oracle,
     monarch_matvec,
     monarch_matvec_adjoint,
     monarch_to_dense,
+    random_mm_star,
     random_monarch,
 )
 from monarch.counting import count_multiplies
@@ -40,6 +41,7 @@ from monarch.factorization import MMStarFactorization, _permuted_blocks, factori
 from monarch.indexing import BlockPermutation, permutation_matrix, permute_cols, permute_rows
 from monarch.projection import project, slice_view
 from monarch.structured import BlockDiagMatrix, DiagBlockMatrix
+from oracles import monarch_dense_oracle
 
 # (n, b) pairs with b | n and 1 < b < n, including slices wider than tall
 BLOCKINGS = [(4, 2), (6, 2), (6, 3), (8, 2), (8, 4), (12, 3), (12, 4), (16, 4), (16, 8), (18, 3), (32, 8)]
@@ -188,6 +190,18 @@ def blockings(draw):
     b = draw(st.integers(2, 8))
     q = draw(st.integers(2, 8))
     return b * q, b
+
+
+@given(blockings(), st.sampled_from(["real", "complex"]), st.integers(0, 2**32 - 1))
+def test_assumption1_instances_meet_the_bounds(blocking, field, seed):
+    n, b = blocking
+    m = random_monarch(n, b, seed=seed, field=field, constraints=ASSUMPTION1)
+    p = random_mm_star(n, b, seed=seed, field=field)
+    l_stacks = [m.ltilde.blocks, p.factors[0].ltilde.blocks, p.factors[1].ltilde.blocks]
+    for r in (m.r.blocks, p.factors[0].r.blocks):
+        assert np.min(np.abs(r)) >= 0.1
+    for stack in l_stacks:
+        assert np.max(np.linalg.cond(stack)) <= 1e4 * (1 + 1e-9)
 
 
 def _normal(rng, shape, cplx):
