@@ -28,7 +28,7 @@ import numpy as np
 from .core import MonarchMatrix
 from .errors import BadBlocking, BadSize, DimensionMismatch
 from .indexing import BlockPermutation, IndexPermutation
-from .structured import BlockDiagMatrix, DiagBlockMatrix, db_to_bd
+from .structured import BlockDiagMatrix, DiagBlockMatrix, _columns, db_to_bd
 
 
 def _check_power_of_two(n: int) -> int:
@@ -135,10 +135,7 @@ class ButterflyMatrix:
             raise BadSize(f"factor sizes {sizes}, expected {expected}")
 
     def to_dense(self) -> np.ndarray:
-        out = np.eye(self.n, dtype=self.factors[0].diagonals.dtype)
-        for f in reversed(self.factors):
-            out = f.stage_apply(out)
-        return out
+        return butterfly_matvec(self, np.eye(self.n, dtype=self.dtype))
 
     @property
     def dtype(self):
@@ -146,10 +143,10 @@ class ButterflyMatrix:
 
 
 def butterfly_matvec(bm: ButterflyMatrix, x) -> np.ndarray:
-    """Apply the factor product right to left; O(n) per stage."""
+    """Apply the factor product right to left to a vector or each column of
+    an (n, k) stack; O(n) per stage and column."""
     x = np.asarray(x)
-    if x.shape != (bm.n,):
-        raise DimensionMismatch(f"vector length {x.shape} != {bm.n}")
+    _columns(x, bm.n)  # shape check only: each stage takes any column count
     for f in reversed(bm.factors):
         x = f.stage_apply(x)
     return x

@@ -141,20 +141,13 @@ def cmd_factorize(args) -> int:
 def cmd_matvec(args) -> int:
     kind, payload = io.read_any(args.infile)
     x = io.read_dmat(args.x)
-    if x.shape[1] != 1:
-        raise ParseError(f"{args.x}: expected a column vector, got {x.shape}")
-    vec = x[:, 0]
     if kind == "monarch":
-        if vec.shape[0] != payload.n:
-            raise DimensionMismatch(f"vector length {vec.shape[0]} != n={payload.n}")
-        if np.iscomplexobj(payload.ltilde.blocks) and not np.iscomplexobj(vec):
-            vec = vec.astype(np.complex128)
-        out = monarch_matvec(payload, vec)
+        out = monarch_matvec(payload, x)
     else:
-        if vec.shape[0] != payload.shape[1]:
-            raise DimensionMismatch(f"vector length {vec.shape[0]} != cols={payload.shape[1]}")
-        out = payload @ vec
-    io.write_dmat(args.out, out.reshape(-1, 1))
+        if x.shape[0] != payload.shape[1]:
+            raise DimensionMismatch(f"x has {x.shape[0]} rows != cols={payload.shape[1]}")
+        out = payload @ x
+    io.write_dmat(args.out, out)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -254,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_factorize)
 
-    p = sub.add_parser("matvec", help="apply a stored matrix to a column vector")
+    p = sub.add_parser("matvec", help="apply a stored matrix to the columns of an n x k matrix")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--x", required=True)
     p.add_argument("--out", required=True)

@@ -25,7 +25,7 @@ import numpy as np
 from .counting import add_multiplies
 from .errors import BadBlocking, DimensionMismatch, NoConvergence
 from .numerics import COMPLEX, REAL, cond_estimate, dtype_for
-from .structured import BlockDiagMatrix, bd_matvec, bd_matvec_adjoint
+from .structured import BlockDiagMatrix, _columns, bd_matvec, bd_matvec_adjoint
 
 MM_STAR = "mm_star"
 MSTAR_M = "mstar_m"
@@ -39,7 +39,7 @@ def resolve_block_size(n: int, b: int | None = None) -> int:
         if root * root != n:
             raise BadBlocking(f"n={n} is not a perfect square; pass b explicitly")
         b = root
-    if n % b != 0 or not 1 < b < n:
+    if not 1 < b < n or n % b != 0:
         raise BadBlocking(f"need b | n and 1 < b < n, got b={b}, n={n}")
     return b
 
@@ -83,27 +83,29 @@ class MonarchMatrix:
         )
 
 
-def monarch_matvec(m: MonarchMatrix, x) -> np.ndarray:
-    """P.T(Ltilde(P(R x))): two batched block stages.
+def _transpose_blocks(cols: np.ndarray, rows: int) -> np.ndarray:
+    """Each column of an (n, k) stack read as a (rows, n/rows) matrix and
+    transposed: P_(b,n) is rows = n/b, its transpose rows = b."""
+    n, k = cols.shape
+    return cols.reshape(rows, n // rows, k).swapaxes(0, 1).reshape(n, k)
 
-    P is a reshape to (n/b, b) and a transpose; P.T reshapes to (b, n/b).
-    """
+
+def monarch_matvec(m: MonarchMatrix, x) -> np.ndarray:
+    """P.T(Ltilde(P(R x))) for a vector or each column of an (n, k) stack:
+    two batched block stages, each permutation a reshape-transpose."""
     x = np.asarray(x)
-    if x.shape != (m.n,):
-        raise DimensionMismatch(f"vector length {x.shape} != {m.n}")
     n, b = m.n, m.b
-    y = bd_matvec(m.r, x).reshape(n // b, b).T.reshape(n)
-    return bd_matvec(m.ltilde, y).reshape(b, n // b).T.reshape(n)
+    y = _transpose_blocks(bd_matvec(m.r, _columns(x, n)), n // b)
+    return _transpose_blocks(bd_matvec(m.ltilde, y), b).reshape(x.shape)
 
 
 def monarch_matvec_adjoint(m: MonarchMatrix, x) -> np.ndarray:
-    """Apply M* = R* P.T Ltilde* P, each stage still batched."""
+    """Apply M* = R* P.T Ltilde* P to a vector or an (n, k) stack, each stage
+    still batched."""
     x = np.asarray(x)
-    if x.shape != (m.n,):
-        raise DimensionMismatch(f"vector length {x.shape} != {m.n}")
     n, b = m.n, m.b
-    y = bd_matvec_adjoint(m.ltilde, x.reshape(n // b, b).T.reshape(n))
-    return bd_matvec_adjoint(m.r, y.reshape(b, n // b).T.reshape(n))
+    y = bd_matvec_adjoint(m.ltilde, _transpose_blocks(_columns(x, n), n // b))
+    return bd_matvec_adjoint(m.r, _transpose_blocks(y, b)).reshape(x.shape)
 
 
 def monarch_to_dense(m: MonarchMatrix) -> np.ndarray:
@@ -136,13 +138,12 @@ class MonarchProduct:
     """Typed product of Monarch matrices applied right to left.
 
     kind MM_STAR is M1 @ M2*, MSTAR_M is M1* @ M2, HIERARCHY is the leading
-    n x n corner of a product of width w MM* pairs at inflated size e*n.
+    n x n corner of a product of MM* pairs at inflated size e*n.
     """
 
     kind: str
     factors: list[MonarchMatrix]
     adjoint: list[bool]
-    width: int = 1
     expansion: int = 1
     out_size: int | None = None  # logical n; factors live at out_size * expansion
 
@@ -188,35 +189,26 @@ def hierarchy(pairs: list[tuple[MonarchMatrix, MonarchMatrix]], expansion: int, 
         kind=HIERARCHY,
         factors=factors,
         adjoint=adjoint,
-        width=len(pairs),
         expansion=expansion,
         out_size=out_size,
     )
 
 
 def product_matvec(p: MonarchProduct, x) -> np.ndarray:
+    """Apply the factors right to left to a vector or each column of an
+    (n, k) stack, zero-padding to the inner size and cutting back."""
     x = np.asarray(x)
-    if x.shape != (p.n,):
-        raise DimensionMismatch(f"vector length {x.shape} != {p.n}")
+    cols = _columns(x, p.n)
     if p.inner_size != p.n:
-        padded = np.zeros(p.inner_size, dtype=x.dtype)
-        padded[: p.n] = x
-        x = padded
+        cols = np.concatenate([cols, np.zeros((p.inner_size - p.n, cols.shape[1]), dtype=x.dtype)])
     for m, adj in zip(reversed(p.factors), reversed(p.adjoint)):
-        x = monarch_matvec_adjoint(m, x) if adj else monarch_matvec(m, x)
-    return x[: p.n]
+        cols = monarch_matvec_adjoint(m, cols) if adj else monarch_matvec(m, cols)
+    return cols[: p.n].reshape(x.shape)
 
 
 def product_to_dense(p: MonarchProduct) -> np.ndarray:
-    denses = [
-        monarch_to_dense(m).conj().T if adj else monarch_to_dense(m)
-        for m, adj in zip(p.factors, p.adjoint)
-    ]
-    out = denses[0]
-    for d in denses[1:]:
-        add_multiplies(out.shape[0] * out.shape[1] * d.shape[1])
-        out = out @ d
-    return out[: p.n, : p.n]
+    """The product applied to the identity's columns: no n x n product."""
+    return product_matvec(p, np.eye(p.n))
 
 
 def permuted_to_mstar_m(p: MonarchProduct) -> MonarchProduct:

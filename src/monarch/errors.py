@@ -18,7 +18,7 @@ class UnsupportedBlocking(MonarchError):
 
 
 class BadSize(MonarchError):
-    """Size must be a power of two for butterfly/transform constructions."""
+    """A size is invalid: zero, or not a power of two where one is needed."""
 
 
 class IndexOutOfRange(MonarchError):

@@ -35,7 +35,8 @@ class MonarchTangent:
 
 
 def matvec_vjp(m: MonarchMatrix, x, upstream) -> MonarchTangent:
-    """Pull the cotangent back through both block stages; O(n*b + n^2/b)."""
+    """Pull one cotangent vector back through both block stages, inline. The
+    products cost 3*n*b + 2*n^2/b multiplies; the 4*(n*b + n^2/b) recorded is a bound."""
     x = np.asarray(x)
     upstream = np.asarray(upstream)
     if x.shape != (m.n,) or upstream.shape != (m.n,):

@@ -14,7 +14,7 @@ one %-operation and writes it with one call, so it holds one stack's text
 at a time, and a reader splits the whole file once and converts all values
 with one numpy call. The format stores finite values only: writers raise
 NonFiniteValue (and write nothing) on NaN or infinity, readers raise
-ParseError.
+ParseError; likewise write_dmat raises BadSize on a zero dimension.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import MonarchMatrix, resolve_block_size
-from .errors import BadBlocking, NonFiniteValue, ParseError
+from .errors import BadBlocking, BadSize, NonFiniteValue, ParseError
 from .numerics import dtype_for
 from .structured import BlockDiagMatrix
 
@@ -60,6 +60,8 @@ def write_dmat(path, a) -> None:
     a = np.asarray(a)
     if a.ndim != 2:
         raise ParseError(f"dmat stores 2-D matrices, got ndim={a.ndim}")
+    if 0 in a.shape:
+        raise BadSize(f"{path}: dmat sizes must be positive, got {a.shape[0]}x{a.shape[1]}")
     _check_finite(path, a)
     kind = "complex" if np.iscomplexobj(a) else "real"
     with open(path, "w") as fh:

@@ -3,8 +3,9 @@
 Matrices are plain 2-D ndarrays over float64 (real field) or complex128
 (complex field). The solvers here are written out explicitly rather than
 delegated to LAPACK, so each has one inspectable floating-point path. Plain
-products elsewhere (the apply stages, the factorization's commuting family
-and reconstruction, product_to_dense) use np.matmul directly.
+products elsewhere (the apply stages, which also give product_to_dense, and
+the factorization's commuting family and reconstruction) use np.matmul
+directly.
 
   * matmul        - fixed k-ascending accumulation order (reproducible);
                     not exported and called by no library code, kept

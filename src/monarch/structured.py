@@ -236,30 +236,36 @@ def bd_to_db(r: BlockDiagMatrix, b: int) -> DiagBlockMatrix:
     return DiagBlockMatrix(b_row=b, b_col=b, entries=entries)
 
 
-def bd_matvec(r: BlockDiagMatrix, x) -> np.ndarray:
-    """Apply the block-diagonal matrix: independent per-block matvecs.
+def _columns(x: np.ndarray, rows: int) -> np.ndarray:
+    """x as a (rows, k) column stack; a vector is a stack of one column."""
+    if x.ndim not in (1, 2) or x.shape[0] != rows:
+        raise DimensionMismatch(f"expected a vector or stack with {rows} rows, got shape {x.shape}")
+    return x if x.ndim == 2 else x[:, None]
 
-    Records exactly num_blocks * b2 * b1 scalar multiplies.
-    """
+
+def bd_matvec(r: BlockDiagMatrix, x) -> np.ndarray:
+    """Apply r to a vector or to each column of an (n, k) stack in one batched
+    product; records exactly k * num_blocks * b2 * b1 scalar multiplies."""
     x = np.asarray(x)
     q, b2, b1 = r.blocks.shape
-    if x.shape != (q * b1,):
-        raise DimensionMismatch(f"vector length {x.shape} != {q * b1}")
-    out = np.matmul(r.blocks, x.reshape(q, b1, 1))
-    add_multiplies(q * b2 * b1)
-    return out.reshape(q * b2)
+    cols = _columns(x, q * b1)
+    k = cols.shape[1]
+    out = np.matmul(r.blocks, cols.reshape(q, b1, k))
+    add_multiplies(q * b2 * b1 * k)
+    return out.reshape((q * b2,) + x.shape[1:])
 
 
 def bd_matvec_adjoint(r: BlockDiagMatrix, x) -> np.ndarray:
-    """Apply the conjugate transpose of r without materializing it."""
+    """Apply r* like bd_matvec, without materializing it."""
     x = np.asarray(x)
     q, b2, b1 = r.blocks.shape
-    if x.shape != (q * b2,):
-        raise DimensionMismatch(f"vector length {x.shape} != {q * b2}")
-    # conj(conj(x)^T B) = B* x, which conjugates two vectors instead of the blocks
-    out = np.conj(np.matmul(np.conj(x).reshape(q, 1, b2), r.blocks))
-    add_multiplies(q * b2 * b1)
-    return out.reshape(q * b1)
+    cols = _columns(x, q * b2)
+    k = cols.shape[1]
+    # conj(conj(X)^T B) = B* X, which conjugates the columns instead of the blocks
+    rows = np.conj(cols).reshape(q, b2, k).swapaxes(1, 2)
+    out = np.conj(np.matmul(rows, r.blocks)).swapaxes(1, 2)
+    add_multiplies(q * b2 * b1 * k)
+    return out.reshape((q * b1,) + x.shape[1:])
 
 
 def class_containment_check(b: int, c: int, n: int) -> bool:

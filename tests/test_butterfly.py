@@ -52,14 +52,18 @@ class TestButterflyMatvec:
         dense = np.eye(8)
         for f in bm.factors:  # explicit left-to-right dense product
             dense = dense @ f.to_dense()
-        x = np.random.default_rng(2).standard_normal(8)
-        got = butterfly_matvec(bm, x)
-        want = dense @ x
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        for shape in (8, (8, 3)):
+            x = np.random.default_rng(2).standard_normal(shape)
+            got = butterfly_matvec(bm, x)
+            want = dense @ x
+            assert got.shape == x.shape
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             butterfly_matvec(random_butterfly(8, seed=0), np.zeros(4))
+        with pytest.raises(DimensionMismatch):
+            butterfly_matvec(random_butterfly(8, seed=0), np.zeros((4, 2)))
 
 
 class TestButterflyToMonarch:

@@ -4,7 +4,7 @@ import pytest
 from monarch import io
 from monarch.cli import main
 from monarch.core import monarch_to_dense, random_monarch
-from monarch.errors import NonFiniteValue, ParseError
+from monarch.errors import BadSize, NonFiniteValue, ParseError
 from oracles import sylvester_hadamard
 
 
@@ -115,6 +115,15 @@ class TestGen:
     def test_dft_requires_power_of_two(self, tmp_path):
         code = run("gen", "--kind", "dft", "--n", "6", "--out", str(tmp_path / "x.dmat"))
         assert code == 2
+
+    def test_zero_size_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "z.dmat"
+        assert run("gen", "--kind", "dense-random", "--n", "0", "--out", str(out)) == 2
+        assert "sizes must be positive" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(BadSize):
+            io.write_dmat(out, np.zeros((3, 0)))
+        assert not out.exists()
 
     def test_dft_matrix_contents(self, tmp_path):
         out = tmp_path / "dft8.dmat"
@@ -232,18 +241,23 @@ class TestFactorizeCommand:
 
 class TestMatvecCommand:
     def test_monarch_and_dense_agree(self, tmp_path):
-        mon = tmp_path / "m.mon"
-        run("gen", "--kind", "monarch", "--n", "16", "--b", "4", "--seed", "4", "--out", str(mon))
-        dense_path = tmp_path / "m.dmat"
-        io.write_dmat(dense_path, monarch_to_dense(io.read_mon(mon)))
-        x = np.random.default_rng(5).standard_normal((16, 1))
-        xpath = tmp_path / "x.dmat"
-        io.write_dmat(xpath, x)
-        y1, y2 = tmp_path / "y1.dmat", tmp_path / "y2.dmat"
-        assert run("matvec", "--in", str(mon), "--x", str(xpath), "--out", str(y1)) == 0
-        assert run("matvec", "--in", str(dense_path), "--x", str(xpath), "--out", str(y2)) == 0
-        a, b = io.read_dmat(y1), io.read_dmat(y2)
-        assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(a)
+        # a real x of 1 or 3 columns against a real or complex matrix
+        for field in ("real", "complex"):
+            mon = tmp_path / "m.mon"
+            run("gen", "--kind", "monarch", "--n", "16", "--b", "4", "--seed", "4", "--field", field,
+                "--out", str(mon))
+            dense_path = tmp_path / "m.dmat"
+            io.write_dmat(dense_path, monarch_to_dense(io.read_mon(mon)))
+            for cols in (1, 3):
+                x = np.random.default_rng(5).standard_normal((16, cols))
+                xpath = tmp_path / "x.dmat"
+                io.write_dmat(xpath, x)
+                y1, y2 = tmp_path / "y1.dmat", tmp_path / "y2.dmat"
+                assert run("matvec", "--in", str(mon), "--x", str(xpath), "--out", str(y1)) == 0
+                assert run("matvec", "--in", str(dense_path), "--x", str(xpath), "--out", str(y2)) == 0
+                a, b = io.read_dmat(y1), io.read_dmat(y2)
+                assert a.shape == b.shape == (16, cols)
+                assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(a)
 
     def test_overflowing_product_exits_2_and_writes_nothing(self, tmp_path, capsys):
         # a finite .mon whose product overflows: the writer refuses the
@@ -263,10 +277,14 @@ class TestMatvecCommand:
     def test_wrong_length_vector(self, tmp_path):
         mon = tmp_path / "m.mon"
         run("gen", "--kind", "monarch", "--n", "16", "--b", "4", "--out", str(mon))
-        xpath = tmp_path / "x.dmat"
-        io.write_dmat(xpath, np.ones((8, 1)))
-        assert run("matvec", "--in", str(mon), "--x", str(xpath), "--out",
-                   str(tmp_path / "y.dmat")) == 2
+        dense_path = tmp_path / "m.dmat"
+        io.write_dmat(dense_path, monarch_to_dense(io.read_mon(mon)))
+        xpath, out = tmp_path / "x.dmat", tmp_path / "y.dmat"
+        for src in (mon, dense_path):
+            for cols in (1, 3):
+                io.write_dmat(xpath, np.ones((8, cols)))
+                assert run("matvec", "--in", str(src), "--x", str(xpath), "--out", str(out)) == 2
+                assert not out.exists()
 
 
 class TestBenchCommand:
@@ -343,6 +361,37 @@ class TestVerifyCommand:
         src = tmp_path / "a.dmat"
         run("gen", "--kind", "dense-random", "--n", "16", "--seed", "10", "--out", str(src))
         assert run("verify", "--in", str(src), "--class", "monarch-slices", "--b", "4") == 1
+
+
+class TestZeroBlockSize:
+    """b = 0 fails the blocking rule before any n % b is formed: exit 2 with
+    the BadBlocking message, not a ZeroDivisionError traceback."""
+
+    MESSAGE = "need b | n and 1 < b < n, got b=0"
+
+    @pytest.fixture
+    def dense(self, tmp_path):
+        path = tmp_path / "d.dmat"
+        io.write_dmat(path, np.random.default_rng(0).standard_normal((16, 16)))
+        return path
+
+    def test_gen(self, tmp_path, capsys):
+        out = tmp_path / "g.mon"
+        assert run("gen", "--kind", "monarch", "--n", "64", "--b", "0", "--out", str(out)) == 2
+        assert self.MESSAGE in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_project(self, tmp_path, dense, capsys):
+        assert run("project", "--in", str(dense), "--b", "0", "--out", str(tmp_path / "p.mon")) == 2
+        assert self.MESSAGE in capsys.readouterr().err
+
+    def test_factorize(self, tmp_path, dense, capsys):
+        assert run("factorize", "--in", str(dense), "--b", "0", "--out-prefix", str(tmp_path / "f")) == 2
+        assert self.MESSAGE in capsys.readouterr().err
+
+    def test_bench(self, capsys):
+        assert run("bench", "--sizes", "64", "--b-policy", "fixed:0", "--reps", "1") == 2
+        assert self.MESSAGE in capsys.readouterr().err
 
 
 class TestPipeline:

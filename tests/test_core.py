@@ -120,12 +120,19 @@ class TestMonarchMatrix:
         m = MonarchMatrix.identity(8, 2)
         with pytest.raises(DimensionMismatch):
             monarch_matvec(m, np.zeros(7))
+        for bad in (np.zeros((7, 2)), np.zeros((16, 1)), np.zeros((8, 2, 1))):
+            with pytest.raises(DimensionMismatch):
+                monarch_matvec(m, bad)
+            with pytest.raises(DimensionMismatch):
+                monarch_matvec_adjoint(m, bad)
 
     def test_bad_blocking_rejected(self):
         with pytest.raises(BadBlocking):
             random_monarch(16, 5)
         with pytest.raises(BadBlocking):
             random_monarch(16, 1)
+        with pytest.raises(BadBlocking):
+            random_monarch(16, 0)  # rejected before n % b is formed
         with pytest.raises(BadBlocking):
             random_monarch(16, 16)
         with pytest.raises(BadBlocking):
@@ -180,6 +187,16 @@ class TestProducts:
         x = np.random.default_rng(11).standard_normal(16)
         assert np.array_equal(product_matvec(p, x), monarch_matvec(m, x))
 
+    def test_product_to_dense_applies_the_identity(self):
+        # one product_matvec over the n identity columns, with no n x n product
+        n, b = 64, 8
+        p = random_mm_star(n, b, seed=3, constraints=None)
+        with count_multiplies() as tally:
+            dense = product_to_dense(p)
+        assert tally.multiplies == 2 * n * (n * b + n * n // b) == 131072
+        x = np.random.default_rng(17).standard_normal(n)
+        assert np.linalg.norm(dense @ x - product_matvec(p, x)) <= 1e-12 * np.linalg.norm(dense @ x)
+
     def test_mstar_m(self):
         m1 = random_monarch(16, 4, seed=12)
         m2 = random_monarch(16, 4, seed=13)
@@ -200,6 +217,8 @@ class TestProducts:
         assert np.linalg.norm(product_to_dense(h) - want) <= 1e-12 * np.linalg.norm(want)
         x = np.random.default_rng(14).standard_normal(4)
         assert np.linalg.norm(product_matvec(h, x) - want @ x) <= 1e-12 * np.linalg.norm(want @ x)
+        xs = np.random.default_rng(15).standard_normal((4, 3))  # padded and cut back as a stack
+        assert np.linalg.norm(product_matvec(h, xs) - want @ xs) <= 1e-12 * np.linalg.norm(want @ xs)
 
     def test_adjoint_action(self):
         m = random_monarch(16, 4, seed=15, field="complex")

@@ -209,21 +209,29 @@ def _normal(rng, shape, cplx):
     return a + 1j * rng.standard_normal(shape) if cplx else a
 
 
-@given(blockings(), st.sampled_from(["real", "complex"]), st.integers(0, 2**32 - 1))
-def test_matvec_and_adjoint_match_table_oracle(blocking, field, seed):
+@given(blockings(), st.sampled_from(["real", "complex"]), st.sampled_from([None, 1, 3]),
+       st.integers(0, 2**32 - 1))
+def test_matvec_and_adjoint_match_table_oracle(blocking, field, cols, seed):
+    # cols None applies to a vector, otherwise to an (n, cols) stack
     n, b = blocking
+    k = cols or 1
     m = random_monarch(n, b, seed=seed, field=field)
-    x = _normal(np.random.default_rng(seed), n, field == "complex")
+    x = _normal(np.random.default_rng(seed), n if cols is None else (n, cols), field == "complex")
     dense = monarch_dense_oracle(m)
     with count_multiplies() as tally:
         y = monarch_matvec(m, x)
-    assert tally.multiplies == n * b + n * n // b
+    assert tally.multiplies == k * (n * b + n * n // b)
     with count_multiplies() as tally:
         z = monarch_matvec_adjoint(m, x)
-    assert tally.multiplies == n * b + n * n // b
+    assert tally.multiplies == k * (n * b + n * n // b)
+    assert y.shape == z.shape == x.shape
     scale = np.linalg.norm(dense) * np.linalg.norm(x)
     assert np.linalg.norm(y - dense @ x) <= 1e-13 * scale
     assert np.linalg.norm(z - dense.conj().T @ x) <= 1e-13 * scale
+    if cols == 1:
+        # a one-column stack runs the vector's products, bit for bit
+        assert np.array_equal(y[:, 0], monarch_matvec(m, x[:, 0]))
+        assert np.array_equal(z[:, 0], monarch_matvec_adjoint(m, x[:, 0]))
 
 
 @given(blockings(), st.booleans(), st.integers(0, 2**32 - 1))

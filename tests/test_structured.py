@@ -8,6 +8,7 @@ from monarch.structured import (
     BlockDiagMatrix,
     DiagBlockMatrix,
     bd_matvec,
+    bd_matvec_adjoint,
     bd_membership,
     bd_to_db,
     class_containment_check,
@@ -178,9 +179,26 @@ class TestBdMatvec:
             bd_matvec(r, rng.standard_normal(12))
         assert tally.multiplies == 12 * 3  # n1 * b2
 
+    def test_stack_of_columns_rectangular_blocks(self):
+        rng = np.random.default_rng(10)
+        r = BlockDiagMatrix(rng.standard_normal((3, 2, 5)) + 1j * rng.standard_normal((3, 2, 5)))
+        dense = r.to_dense()  # 6 x 15
+        x, y = rng.standard_normal((15, 4)), rng.standard_normal((6, 4))
+        with count_multiplies() as tally:
+            got = bd_matvec(r, x)
+        assert tally.multiplies == 4 * 3 * 2 * 5
+        with count_multiplies() as tally:
+            got_adj = bd_matvec_adjoint(r, y)
+        assert tally.multiplies == 4 * 3 * 2 * 5
+        assert got.shape == (6, 4) and got_adj.shape == (15, 4)
+        assert np.linalg.norm(got - dense @ x) <= 1e-12 * np.linalg.norm(dense @ x)
+        assert np.linalg.norm(got_adj - dense.conj().T @ y) <= 1e-12 * np.linalg.norm(got_adj)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             bd_matvec(BlockDiagMatrix.identity(2, 3), np.zeros(5))
+        with pytest.raises(DimensionMismatch):
+            bd_matvec_adjoint(BlockDiagMatrix.identity(2, 3), np.zeros((5, 2)))
 
 
 class TestContainment:
