@@ -8,9 +8,10 @@ product B_n B_{n/2} ... B_2.
 
 Splitting that product at block size b gives the containment construction:
 R = B_b ... B_2 lands in BD(b, n) and L = B_n ... B_{2b} lands in DB(b, n),
-so every butterfly matrix is a Monarch matrix at every valid b. The merge
-below multiplies factors blockwise at the target blocking instead of
-forming n x n products.
+so every butterfly matrix is a Monarch matrix at every valid b. One kernel,
+ButterflyFactorMatrix.stage_apply, builds every form: a dense matrix, R's
+blocks and L's diagonals are each a column stack pushed through the stages
+right to left, O(n) per stage and column, with no n x n product.
 
 DFT convention: unnormalized, entry (j, k) = exp(-2*pi*i*j*k/n). The
 decimation-in-time radix-2 factorization gives
@@ -26,9 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MonarchMatrix
+from .counting import add_multiplies
 from .errors import BadBlocking, BadSize, DimensionMismatch
 from .indexing import BlockPermutation, IndexPermutation
-from .structured import BlockDiagMatrix, DiagBlockMatrix, _columns, db_to_bd
+from .structured import BlockDiagMatrix, DiagBlockMatrix, _columns
 
 
 def _check_power_of_two(n: int) -> int:
@@ -59,65 +61,65 @@ class ButterflyFactorMatrix:
         if self.diagonals.shape != expected:
             raise DimensionMismatch(f"diagonals shape {self.diagonals.shape} != {expected}")
 
-    def stage_apply(self, x: np.ndarray) -> np.ndarray:
-        """Apply to a vector or to each column of a matrix, O(n) per column."""
+    def stage_apply(self, x) -> np.ndarray:
+        """Apply to a vector or to each column of an (n, c) stack, O(n) per
+        column: two multiplies per output entry, 2*n*c in all."""
+        x = np.asarray(x)
+        cols = _columns(x, self.n)
         d = self.diagonals
-        half = self.k // 2
-        shape = x.shape
-        cols = x.reshape(self.n, -1)
-        v = cols.reshape(self.n // self.k, 2, half, cols.shape[1])
+        v = cols.reshape(self.n // self.k, 2, self.k // 2, cols.shape[1])
         top = d[:, 0, 0, :, None] * v[:, 0] + d[:, 0, 1, :, None] * v[:, 1]
         bot = d[:, 1, 0, :, None] * v[:, 0] + d[:, 1, 1, :, None] * v[:, 1]
-        out = np.stack([top, bot], axis=1).reshape(self.n, -1)
-        return out.reshape(shape)
-
-    def _dense_stack(self) -> np.ndarray:
-        """All n/k blocks as one dense (n/k, k, k) stack."""
-        factors, half = self.n // self.k, self.k // 2
-        # entry v of quadrant (r, c) of block t sits at (r*half + v, c*half + v)
-        out = np.zeros((factors, 2, half, 2, half), dtype=self.diagonals.dtype)
-        t = np.arange(factors)[:, None, None, None]
-        r = np.arange(2)[:, None, None]
-        c = np.arange(2)[:, None]
-        v = np.arange(half)
-        out[t, r, v, c, v] = self.diagonals
-        return out.reshape(factors, self.k, self.k)
+        add_multiplies(2 * cols.size)
+        return np.stack([top, bot], axis=1).reshape(x.shape)
 
     def block_dense(self, t: int) -> np.ndarray:
         """Dense k x k form of block t."""
-        return self._dense_stack()[t]
+        return self.bd_blocks(self.k).blocks[t]
 
     def to_dense(self) -> np.ndarray:
-        return self.bd_blocks(self.n).blocks[0]
+        return self.stage_apply(np.eye(self.n))
 
     def bd_blocks(self, b: int) -> BlockDiagMatrix:
         """This factor as a member of BD(b, n); valid when k divides b."""
-        if b % self.k or self.n % b:
+        if b < 1 or b % self.k or self.n % b:
             raise BadBlocking(f"factor size {self.k} does not nest in block size {b}")
-        per, q, k = b // self.k, self.n // b, self.k
-        # factor block t is sub-block t % per on the diagonal of block t // per
-        blocks = np.zeros((q, per, k, per, k), dtype=self.diagonals.dtype)
-        p = np.arange(per)
-        blocks[np.arange(q)[:, None], p, :, p, :] = self._dense_stack().reshape(q, per, k, k)
-        return BlockDiagMatrix(blocks.reshape(q, b, b))
+        return _bd_blocks([self], self.n, b)
 
     def db_entries(self, b: int) -> DiagBlockMatrix:
         """This factor as a member of DB(b, n); valid when b divides k/2."""
         half = self.k // 2
-        if half % b or self.n % b:
+        if b < 1 or half % b:
             raise BadBlocking(f"block size {b} does not divide half-factor {half}")
-        # entry u = v*b + o of quadrant (r, c) of factor t sits at position o
-        # of grid block (t*k/b + r*half/b + v, t*k/b + c*half/b + v)
-        factors, per = self.n // self.k, half // b
-        d = self.diagonals.reshape(factors, 2, 2, per, b)
-        entries = np.zeros((factors, 2, per, factors, 2, per, b), dtype=d.dtype)
-        t = np.arange(factors)[:, None, None, None]
-        r = np.arange(2)[:, None, None]
-        c = np.arange(2)[:, None]
-        v = np.arange(per)
-        entries[t, r, v, t, c, v] = d
-        entries = entries.reshape(self.n // b, self.n // b, b)
+        entries = _db_grid([self], self.n, b).transpose(0, 2, 1)
         return DiagBlockMatrix(b_row=b, b_col=b, entries=entries)
+
+
+def _push(factors: list[ButterflyFactorMatrix], x) -> np.ndarray:
+    """Apply the product of factors, right to left, to a vector or a stack."""
+    for f in reversed(factors):
+        x = f.stage_apply(x)
+    return x
+
+
+def _bd_blocks(factors: list[ButterflyFactorMatrix], n: int, b: int) -> BlockDiagMatrix:
+    """The product of factors in BD(b, n) as its (n/b, b, b) blocks.
+
+    Column i of the stack is 1 at row i of every block, so the product
+    turns it into column i of every block at once.
+    """
+    q = n // b
+    return BlockDiagMatrix(_push(factors, np.tile(np.eye(b), (q, 1))).reshape(q, b, b))
+
+
+def _db_grid(factors: list[ButterflyFactorMatrix], n: int, b: int) -> np.ndarray:
+    """The product L of factors in DB(b, n), with L[l*b + j, k*b + j] at [l, j, k].
+
+    Column k of the stack is 1 on the whole of block k; each block of L is
+    diagonal, so row l*b + j of the product holds entry j of block (l, k).
+    """
+    q = n // b
+    return _push(factors, np.repeat(np.eye(q), b, axis=0)).reshape(q, b, q)
 
 
 @dataclass
@@ -135,43 +137,29 @@ class ButterflyMatrix:
             raise BadSize(f"factor sizes {sizes}, expected {expected}")
 
     def to_dense(self) -> np.ndarray:
-        return butterfly_matvec(self, np.eye(self.n, dtype=self.dtype))
-
-    @property
-    def dtype(self):
-        return self.factors[0].diagonals.dtype
+        return butterfly_matvec(self, np.eye(self.n))
 
 
 def butterfly_matvec(bm: ButterflyMatrix, x) -> np.ndarray:
     """Apply the factor product right to left to a vector or each column of
-    an (n, k) stack; O(n) per stage and column."""
-    x = np.asarray(x)
-    _columns(x, bm.n)  # shape check only: each stage takes any column count
-    for f in reversed(bm.factors):
-        x = f.stage_apply(x)
-    return x
+    an (n, c) stack; O(n) per stage and column, 2*n*c multiplies a stage."""
+    return _push(bm.factors, x)
 
 
 def butterfly_to_monarch(bm: ButterflyMatrix, b: int) -> MonarchMatrix:
     """Merge the butterfly factors into Monarch form at block size b.
 
-    R collects the factors of size <= b (all inside BD(b, n)); the rest are
-    conjugated to BD(n/b, n) one by one and accumulated into Ltilde.
+    R is the factors of size <= b applied to an (n, b) stack, Ltilde the
+    rest applied to an (n, n/b) stack: 2*n*(b*log2(b) + (n/b)*log2(n/b))
+    multiplies in all.
     """
     n = bm.n
-    if b < 2 or b & (b - 1) or not 1 < b < n or n % b:
+    if not 1 < b < n or b & (b - 1):
         raise BadBlocking(f"need a power of two b with 1 < b < n, got b={b}, n={n}")
-    q = n // b
     right = [f for f in bm.factors if f.k <= b]  # [B_b, ..., B_2]
     left = [f for f in bm.factors if f.k > b]  # [B_n, ..., B_2b]
-    r_acc = right[0].bd_blocks(b)
-    for f in right[1:]:
-        r_acc = r_acc.matmul(f.bd_blocks(b))
-    l_acc = db_to_bd(left[0].db_entries(b))
-    for f in left[1:]:
-        l_acc = l_acc.matmul(db_to_bd(f.db_entries(b)))
-    assert l_acc.num_blocks == b and l_acc.block_rows == q
-    return MonarchMatrix(ltilde=l_acc, r=r_acc)
+    ltilde = BlockDiagMatrix(_db_grid(left, n, b).transpose(1, 0, 2))
+    return MonarchMatrix(ltilde=ltilde, r=_bd_blocks(right, n, b))
 
 
 def random_butterfly(n: int, seed: int = 0) -> ButterflyMatrix:

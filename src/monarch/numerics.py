@@ -155,7 +155,7 @@ class SvdResult:
     v: np.ndarray  # columns orthonormal; a = u @ diag(s) @ v.conj().T
 
 
-def svd(a, max_sweeps: int = _SVD_MAX_SWEEPS) -> SvdResult:
+def svd(a) -> SvdResult:
     """Thin SVD of a matrix or of a stack (batch, rows, cols) of matrices.
 
     One-sided Jacobi rotations on the columns, every matrix of a stack in
@@ -168,9 +168,9 @@ def svd(a, max_sweeps: int = _SVD_MAX_SWEEPS) -> SvdResult:
         raise DimensionMismatch("svd operand must be a matrix or a stack of matrices")
     stack = a[None] if a.ndim == 2 else a
     if stack.shape[1] < stack.shape[2]:
-        v, s, u = _jacobi_svd(stack.conj().transpose(0, 2, 1), max_sweeps)
+        v, s, u = _jacobi_svd(stack.conj().transpose(0, 2, 1))
     else:
-        u, s, v = _jacobi_svd(stack, max_sweeps)
+        u, s, v = _jacobi_svd(stack)
     if a.ndim == 2:
         return SvdResult(u=u[0], s=s[0], v=v[0])
     return SvdResult(u=u, s=s, v=v)
@@ -194,7 +194,7 @@ def _round_robin(m: int) -> np.ndarray:
     return shift
 
 
-def _jacobi_svd(stack: np.ndarray, max_sweeps: int):
+def _jacobi_svd(stack: np.ndarray):
     """Batched one-sided Jacobi on a (batch, rows, cols) stack, rows >= cols.
 
     Returns (u, s, v) stacks with descending s.
@@ -215,7 +215,7 @@ def _jacobi_svd(stack: np.ndarray, max_sweeps: int):
     # numerically zero: rotating them never converges, so freeze them
     zero_col_sq = (4.0 * EPS) ** 2 * frobenius_sq
     if cols > 1:
-        x = _sweeps(x, rows, cols, zero_col_sq, max_sweeps)
+        x = _sweeps(x, rows, cols, zero_col_sq)
     w = x[:, :cols, :rows]
     norms = np.sqrt(_sum_sq(w))
     order = np.argsort(-norms, axis=1, kind="stable")
@@ -237,7 +237,7 @@ def _sum_sq(w: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", w, w)
 
 
-def _sweeps(x, rows, cols, zero_col_sq, max_sweeps):
+def _sweeps(x, rows, cols, zero_col_sq):
     """Jacobi sweeps until every matrix of the stack has orthogonal columns.
 
     Each sweep is m - 1 rounds; a round rotates every disjoint column pair
@@ -252,7 +252,7 @@ def _sweeps(x, rows, cols, zero_col_sq, max_sweeps):
     rotation = 4 * rows + 4 * cols
     complex_field = np.iscomplexobj(x)
     with np.errstate(invalid="ignore", divide="ignore"):
-        for _ in range(max_sweeps):
+        for _ in range(_SVD_MAX_SWEEPS):
             if not len(live):
                 return done
             zero_sq = zero_col_sq[live, None]
@@ -286,7 +286,7 @@ def _sweeps(x, rows, cols, zero_col_sq, max_sweeps):
             done[live[~rotated]] = x[~rotated]
             live, x = live[rotated], x[rotated]
     if len(live):
-        raise NoConvergence(f"jacobi svd: not orthogonal after {max_sweeps} sweeps")
+        raise NoConvergence(f"jacobi svd: not orthogonal after {_SVD_MAX_SWEEPS} sweeps")
     return done
 
 

@@ -15,6 +15,19 @@ def monarch_dense_oracle(m) -> np.ndarray:
     return p.T @ m.ltilde.to_dense() @ p @ m.r.to_dense()
 
 
+def butterfly_factor_dense(f) -> np.ndarray:
+    """Dense form of a ButterflyFactorMatrix: entry v of quadrant (r, c) of
+    block t placed one by one at (t*k + r*k/2 + v, t*k + c*k/2 + v)."""
+    half = f.k // 2
+    out = np.zeros((f.n, f.n), dtype=f.diagonals.dtype)
+    for t in range(f.n // f.k):
+        for r in range(2):
+            for c in range(2):
+                for v in range(half):
+                    out[t * f.k + r * half + v, t * f.k + c * half + v] = f.diagonals[t, r, c, v]
+    return out
+
+
 def dft_matrix(n: int) -> np.ndarray:
     """Direct Vandermonde evaluation, entry (j, k) = omega**(j*k)."""
     j, k = np.indices((n, n))

@@ -15,7 +15,7 @@ from monarch.errors import BadBlocking, BadSize, DimensionMismatch
 from monarch.indexing import permutation_matrix, permute_vector
 from monarch.projection import project, slice_singular_ratios
 from monarch.structured import bd_membership, db_membership
-from oracles import dft_matrix, sylvester_hadamard
+from oracles import butterfly_factor_dense, dft_matrix, sylvester_hadamard
 
 
 def direct_dft(x):
@@ -51,7 +51,7 @@ class TestButterflyMatvec:
         bm = random_butterfly(8, seed=1)
         dense = np.eye(8)
         for f in bm.factors:  # explicit left-to-right dense product
-            dense = dense @ f.to_dense()
+            dense = dense @ butterfly_factor_dense(f)
         for shape in (8, (8, 3)):
             x = np.random.default_rng(2).standard_normal(shape)
             got = butterfly_matvec(bm, x)
@@ -64,6 +64,10 @@ class TestButterflyMatvec:
             butterfly_matvec(random_butterfly(8, seed=0), np.zeros(4))
         with pytest.raises(DimensionMismatch):
             butterfly_matvec(random_butterfly(8, seed=0), np.zeros((4, 2)))
+        for f in random_butterfly(8, seed=0).factors:
+            for bad in (np.zeros((2, 8)), np.zeros(16), np.zeros((8, 2, 2)), np.zeros(())):
+                with pytest.raises(DimensionMismatch):
+                    f.stage_apply(bad)
 
 
 class TestButterflyToMonarch:
@@ -71,7 +75,7 @@ class TestButterflyToMonarch:
         bm = random_butterfly(4, seed=3)
         m = butterfly_to_monarch(bm, 2)
         # L = B_4 alone, R = B_2 alone
-        want = bm.factors[0].to_dense() @ bm.factors[1].to_dense()
+        want = butterfly_factor_dense(bm.factors[0]) @ butterfly_factor_dense(bm.factors[1])
         got = monarch_to_dense(m)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -185,9 +189,10 @@ class TestRandomButterfly:
     def test_db_entries_match_dense_factor(self, n):
         for bm in (random_butterfly(n, seed=n), dft_butterfly(n)[0]):
             for f in bm.factors:
-                dense = f.to_dense()
+                dense = butterfly_factor_dense(f)
                 # applying the factor to the identity adds only exact zeros
                 assert np.array_equal(dense, f.stage_apply(np.eye(n))), (n, f.k)
+                assert np.array_equal(dense, f.to_dense()), (n, f.k)
                 for b in (b for b in range(1, f.k // 2 + 1) if (f.k // 2) % b == 0):
                     assert np.array_equal(f.db_entries(b).to_dense(), dense), (n, f.k, b)
                 for b in range(f.k, n + 1, f.k):
@@ -196,6 +201,14 @@ class TestRandomButterfly:
                 for t in range(n // f.k):
                     lo = t * f.k
                     assert np.array_equal(f.block_dense(t), dense[lo : lo + f.k, lo : lo + f.k])
+
+    def test_block_size_must_be_positive(self):
+        f = random_butterfly(8, seed=0).factors[1]  # k = 4
+        for b in (0, -2, -4, -8):
+            with pytest.raises(BadBlocking):
+                f.bd_blocks(b)
+            with pytest.raises(BadBlocking):
+                f.db_entries(b)
 
     def test_merge_at_both_blockings(self):
         bm = random_butterfly(8, seed=9)

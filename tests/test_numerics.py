@@ -183,10 +183,11 @@ class TestSvd:
         assert isinstance(exc.value, MonarchError)
         assert "non-finite" in str(exc.value)
 
-    def test_sweep_budget_exhausted(self):
+    def test_sweep_budget_exhausted(self, monkeypatch):
+        monkeypatch.setattr(nm, "_SVD_MAX_SWEEPS", 1)
         a = np.random.default_rng(17).standard_normal((6, 6))
         with pytest.raises(NoConvergence):
-            nm.svd(a, max_sweeps=1)
+            nm.svd(a)
 
     def test_rejects_vector(self):
         with pytest.raises(DimensionMismatch):

@@ -337,13 +337,21 @@ def test_adjoint_identity(blocking, field, seed):
 
 @given(st.sampled_from([4, 8, 16, 32, 64]), st.integers(0, 2**32 - 1))
 def test_butterfly_merge_matches_butterfly_matvec(n, seed):
+    # two multiplies per entry and stage: 2*n*log2(n) per column
     bm = random_butterfly(n, seed=seed)
     rng = np.random.default_rng(seed)
     probes = [rng.standard_normal(n) for _ in range(3)]
+    s = n.bit_length() - 1
+    with count_multiplies() as tally:
+        butterfly_matvec(bm, np.stack(probes, axis=1))
+    assert tally.multiplies == 2 * n * s * 3
     norm = np.linalg.norm(bm.to_dense())
     b = 2
     while b < n:
-        m = butterfly_to_monarch(bm, b)
+        with count_multiplies() as tally:
+            m = butterfly_to_monarch(bm, b)
+        log_b = b.bit_length() - 1
+        assert tally.multiplies == 2 * n * (b * log_b + (n // b) * (s - log_b)), (n, b)
         for x in probes:
             err = np.linalg.norm(monarch_matvec(m, x) - butterfly_matvec(bm, x))
             assert err <= 1e-12 * norm * np.linalg.norm(x), (n, b)
