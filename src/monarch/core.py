@@ -27,11 +27,6 @@ from .errors import BadBlocking, DimensionMismatch, NoConvergence
 from .numerics import COMPLEX, REAL, cond_estimate, dtype_for
 from .structured import BlockDiagMatrix, _columns, bd_matvec, bd_matvec_adjoint
 
-MM_STAR = "mm_star"
-MSTAR_M = "mstar_m"
-HIERARCHY = "hierarchy"
-
-
 def resolve_block_size(n: int, b: int | None = None) -> int:
     """The Monarch blocking rule: b defaults to sqrt(n), and b | n, 1 < b < n."""
     if b is None:
@@ -42,6 +37,13 @@ def resolve_block_size(n: int, b: int | None = None) -> int:
     if not 1 < b < n or n % b != 0:
         raise BadBlocking(f"need b | n and 1 < b < n, got b={b}, n={n}")
     return b
+
+
+def _square_block_size(a: np.ndarray, b: int | None) -> int:
+    """resolve_block_size for a square matrix a."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise BadBlocking(f"expected a square matrix, got {a.shape}")
+    return resolve_block_size(a.shape[0], b)
 
 
 @dataclass
@@ -135,35 +137,28 @@ def monarch_flop_count(m: MonarchMatrix) -> int:
 
 @dataclass
 class MonarchProduct:
-    """Typed product of Monarch matrices applied right to left.
+    """Product of Monarch matrices applied right to left, factor i conjugate
+    transposed where adjoint[i] is set.
 
-    kind MM_STAR is M1 @ M2*, MSTAR_M is M1* @ M2, HIERARCHY is the leading
-    n x n corner of a product of MM* pairs at inflated size e*n.
+    The flags alone name the class: MM* is [False, True], M*M is
+    [True, False], and a width-w hierarchy is w MM* pairs. n is the logical
+    size. It defaults to the factors' size; a smaller n must divide it and
+    keeps the leading n x n corner of the product.
     """
 
-    kind: str
     factors: list[MonarchMatrix]
     adjoint: list[bool]
-    expansion: int = 1
-    out_size: int | None = None  # logical n; factors live at out_size * expansion
+    n: int | None = None
 
     def __post_init__(self):
-        if self.kind not in (MM_STAR, MSTAR_M, HIERARCHY):
-            raise ValueError(f"unknown product kind {self.kind!r}")
         if len(self.factors) != len(self.adjoint) or not self.factors:
             raise DimensionMismatch("factors and adjoint flags must align")
-        sizes = {f.n for f in self.factors}
-        blocks = {f.b for f in self.factors}
-        if len(sizes) != 1 or len(blocks) != 1:
+        if len({(f.n, f.b) for f in self.factors}) != 1:
             raise BadBlocking("all product factors must share (b, n)")
-        if self.out_size is None:
-            self.out_size = self.factors[0].n // self.expansion
-        if self.factors[0].n != self.out_size * self.expansion:
-            raise BadBlocking("factor size must equal expansion * output size")
-
-    @property
-    def n(self) -> int:
-        return self.out_size
+        if self.n is None:
+            self.n = self.inner_size
+        if self.n < 1 or self.inner_size % self.n:
+            raise BadBlocking(f"output size n={self.n} must divide the factor size {self.inner_size}")
 
     @property
     def inner_size(self) -> int:
@@ -171,27 +166,17 @@ class MonarchProduct:
 
 
 def mm_star(m1: MonarchMatrix, m2: MonarchMatrix) -> MonarchProduct:
-    return MonarchProduct(kind=MM_STAR, factors=[m1, m2], adjoint=[False, True])
+    return MonarchProduct(factors=[m1, m2], adjoint=[False, True])
 
 
 def mstar_m(m1: MonarchMatrix, m2: MonarchMatrix) -> MonarchProduct:
-    return MonarchProduct(kind=MSTAR_M, factors=[m1, m2], adjoint=[True, False])
+    return MonarchProduct(factors=[m1, m2], adjoint=[True, False])
 
 
-def hierarchy(pairs: list[tuple[MonarchMatrix, MonarchMatrix]], expansion: int, out_size: int) -> MonarchProduct:
-    """Width-w product of MM* pairs at size expansion * out_size."""
-    factors: list[MonarchMatrix] = []
-    adjoint: list[bool] = []
-    for m1, m2 in pairs:
-        factors.extend([m1, m2])
-        adjoint.extend([False, True])
-    return MonarchProduct(
-        kind=HIERARCHY,
-        factors=factors,
-        adjoint=adjoint,
-        expansion=expansion,
-        out_size=out_size,
-    )
+def hierarchy(pairs: list[tuple[MonarchMatrix, MonarchMatrix]], n: int) -> MonarchProduct:
+    """Width-w product of MM* pairs, cut to its leading n x n corner."""
+    factors = [m for pair in pairs for m in pair]
+    return MonarchProduct(factors=factors, adjoint=[False, True] * len(pairs), n=n)
 
 
 def product_matvec(p: MonarchProduct, x) -> np.ndarray:
@@ -218,8 +203,8 @@ def permuted_to_mstar_m(p: MonarchProduct) -> MonarchProduct:
     conjugated matrix equals X* @ Y at block size n/b, where
     X = (Rb Ra*, La*) and Y = (I, Lb*) in (ltilde, r) storage.
     """
-    if p.kind != MM_STAR or len(p.factors) != 2:
-        raise ValueError("expected an MM* product of two factors")
+    if list(p.adjoint) != [False, True] or p.n != p.inner_size:
+        raise ValueError("expected an MM* product M1 M2* at the factors' size")
     ma, mb = p.factors
     rb_ra_star = mb.r.matmul(ma.r.conj_transpose())  # Rb @ Ra*, an element of BD(b, n)
     x = MonarchMatrix(ltilde=rb_ra_star, r=ma.ltilde.conj_transpose())

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import resolve_block_size
+from .core import _square_block_size
 from .counting import add_multiplies
-from .errors import BadBlocking, DimensionMismatch, SimDiagFailed, SingularBlock
+from .errors import DimensionMismatch, SimDiagFailed, SingularBlock
 from .errors import DefectiveMatrix, NoConvergence, SingularMatrix
 from .numerics import cond_estimate, eig, frobenius, lu_invert
 from .structured import BlockDiagMatrix, DiagBlockMatrix, db_to_bd
@@ -62,8 +62,6 @@ class MMStarFactorization:
     l1: BlockDiagMatrix  # BD(n/b, n), blocks A_i
     l2: BlockDiagMatrix  # BD(n/b, n), blocks C_j
     middle: DiagBlockMatrix  # DB(n/b, n): the grid of diagonal D_ij
-    b: int
-    n: int
     diag_residual: float  # worst off-diagonal mass of a D_ij before truncation
     reconstruction_error: float  # relative Frobenius error vs the input
 
@@ -80,7 +78,8 @@ class MMStarFactorization:
         d = self.middle.entries
         blocks = (self.l1.blocks[:, None] * d[:, :, None, :]) @ self.l2.blocks[None]
         add_multiplies(d.size * d.shape[2] * (d.shape[2] + 1))  # the scaling by D and the block products
-        return blocks.transpose(2, 0, 3, 1).reshape(self.n, self.n)
+        n = self.l1.shape[0]
+        return blocks.transpose(2, 0, 3, 1).reshape(n, n)
 
 
 def _offdiag_mass(t: np.ndarray):
@@ -162,17 +161,14 @@ def simultaneous_diagonalize(family) -> SimDiagResult:
     return SimDiagResult(q=q, q_inv=q_inv, conjugated=t, diag_residual=residual)
 
 
-def _permuted_blocks(m: np.ndarray, b: int):
+def _permuted_blocks(m: np.ndarray, b: int | None):
     """The b x b grid of (n/b)-sized blocks of P_(b,n) @ m @ P_(b,n).T.
 
     Block (i, j) entry (l, k) is m[l*b + i, k*b + j]: a transpose of the
-    4-D reshape, so no permuted copy of m is made.
+    4-D reshape, so no permuted copy of m is made. b=None means sqrt(n).
     """
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise BadBlocking(f"expected a square matrix, got {m.shape}")
-    n = m.shape[0]
-    b = resolve_block_size(n, b)
-    q = n // b
+    b = _square_block_size(m, b)
+    q = m.shape[0] // b
     return m.reshape(q, b, q, b).transpose(1, 3, 0, 2)
 
 
@@ -183,7 +179,7 @@ def _singular_block(i: int, j: int, exc: SingularMatrix) -> SingularBlock:
     )
 
 
-def factorize_mm_star(m, b: int) -> MMStarFactorization:
+def factorize_mm_star(m, b: int | None) -> MMStarFactorization:
     """Recover Monarch factors of an MM*(b, n) matrix satisfying assumption 1.
 
     Raises NoConvergence on a non-finite entry, SingularBlock when a permuted
@@ -195,8 +191,7 @@ def factorize_mm_star(m, b: int) -> MMStarFactorization:
     blocks = _permuted_blocks(m.astype(np.complex128), b)
     if not np.all(np.isfinite(blocks)):
         raise NoConvergence("factorize_mm_star: input has a non-finite entry")
-    n = m.shape[0]
-    q = n // b
+    b, q = blocks.shape[1:3]
     try:
         inv_col0 = lu_invert(blocks[:, 0])
     except SingularMatrix as exc:
@@ -227,8 +222,6 @@ def factorize_mm_star(m, b: int) -> MMStarFactorization:
         l1=BlockDiagMatrix(a_blocks),
         l2=BlockDiagMatrix(c_blocks),
         middle=DiagBlockMatrix(b_row=q, b_col=q, entries=d),
-        b=b,
-        n=n,
         diag_residual=worst_offdiag,
         reconstruction_error=0.0,
     )
@@ -246,11 +239,10 @@ class Assumption1Report:
     threshold: float = ASSUMPTION1_CONDITION_LIMIT
 
 
-def assumption1_check(m, b: int) -> Assumption1Report:
+def assumption1_check(m, b: int | None) -> Assumption1Report:
     """Condition estimates of all permuted blocks vs the invertibility threshold."""
-    m = np.asarray(m)
-    blocks = _permuted_blocks(m, b)
-    q = m.shape[0] // b
+    blocks = _permuted_blocks(np.asarray(m), b)
+    b, q = blocks.shape[1:3]
     conds = cond_estimate(blocks.reshape(b * b, q, q)).reshape(b, b)
     worst = float(np.max(conds))
     return Assumption1Report(

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MonarchMatrix, resolve_block_size
-from .errors import BadBlocking, IndexOutOfRange
+from .core import MonarchMatrix, _square_block_size
+from .errors import IndexOutOfRange
 from .numerics import frobenius, rank1_approx, svd
 from .structured import BlockDiagMatrix
 
@@ -37,16 +37,10 @@ class ProjectionReport:
         return self.residual / self.input_norm if self.input_norm > 0 else 0.0
 
 
-def _check_square_blocking(a: np.ndarray, b: int | None) -> int:
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise BadBlocking(f"projection needs a square matrix, got {a.shape}")
-    return resolve_block_size(a.shape[0], b)
-
-
 def slice_view(a, b: int, j: int, k: int) -> np.ndarray:
     """The (n/b) x b slice with entry (l, i) = a[l*b + j, k*b + i]."""
     a = np.asarray(a)
-    b = _check_square_blocking(a, b)
+    b = _square_block_size(a, b)
     q = a.shape[0] // b
     if not (0 <= j < b and 0 <= k < q):
         raise IndexOutOfRange(f"slice index (j={j}, k={k}) outside ({b}, {q})")
@@ -60,7 +54,7 @@ def project(a, b: int | None = None):
     rank1_approx as one stack, so the rank-1 solves share one batched SVD.
     """
     a = np.asarray(a)
-    b = _check_square_blocking(a, b)
+    b = _square_block_size(a, b)
     q = a.shape[0] // b
     slices = _slice_stack(a, b)
     u, v = rank1_approx(slices)
@@ -92,7 +86,7 @@ def _slice_stack(a: np.ndarray, b: int) -> np.ndarray:
 def slice_singular_ratios(a, b: int) -> np.ndarray:
     """sigma_2 / sigma_1 per slice (0 where sigma_1 = 0): the rank-1 test."""
     a = np.asarray(a)
-    b = _check_square_blocking(a, b)
+    b = _square_block_size(a, b)
     s = svd(_slice_stack(a, b)).s
     with np.errstate(invalid="ignore"):
         ratios = np.where(s[:, 0] > 0, s[:, 1] / s[:, 0], 0.0)

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from monarch import core
 from monarch.core import (
     ASSUMPTION1,
     MonarchMatrix,
+    MonarchProduct,
     hierarchy,
     mm_star,
     monarch_flop_count,
@@ -137,6 +140,12 @@ class TestMonarchMatrix:
             random_monarch(16, 16)
         with pytest.raises(BadBlocking):
             random_monarch(12)  # not a perfect square, b required
+        m = random_monarch(16, 4, seed=0)
+        for n in (5, 0, 32):  # a product's size must divide its factors' size
+            with pytest.raises(BadBlocking, match="must divide"):
+                MonarchProduct(factors=[m], adjoint=[False], n=n)
+        with pytest.raises(BadBlocking, match="must divide"):
+            hierarchy([(m, m)], n=3)
 
     def test_linearity(self):
         rng = np.random.default_rng(6)
@@ -165,6 +174,30 @@ class TestCounts:
             assert tally.multiplies == oracle_count == monarch_flop_count(m) == n * b + n * n // b
             assert np.allclose(got, oracle_out, atol=1e-12)
 
+    def test_tallies_count_only_their_own_thread(self):
+        # two threads hold their tallies open while both run matvecs; nested
+        # tallies in one thread both count its work
+        m = random_monarch(64, 8, seed=2)
+        x = np.random.default_rng(3).standard_normal(64)
+        barrier = threading.Barrier(2, timeout=30)
+        counts = {}
+
+        def work(name, matvecs):
+            with count_multiplies() as outer:
+                with count_multiplies() as inner:
+                    barrier.wait()
+                    for _ in range(matvecs):
+                        monarch_matvec(m, x)
+                    barrier.wait()
+            counts[name] = (outer.multiplies, inner.multiplies)
+
+        threads = [threading.Thread(target=work, args=args) for args in (("one", 1), ("three", 3))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert counts == {"one": (1024, 1024), "three": (3072, 3072)}
+
 
 class TestProducts:
     def test_mm_star_symmetric_psd_action(self):
@@ -180,10 +213,8 @@ class TestProducts:
         assert x @ product_matvec(p, x) >= 0.0
 
     def test_single_factor_equals_matvec(self):
-        from monarch.core import MM_STAR, MonarchProduct
-
         m = random_monarch(16, 4, seed=10)
-        p = MonarchProduct(kind=MM_STAR, factors=[m], adjoint=[False])
+        p = MonarchProduct(factors=[m], adjoint=[False])
         x = np.random.default_rng(11).standard_normal(16)
         assert np.array_equal(product_matvec(p, x), monarch_matvec(m, x))
 
@@ -208,7 +239,7 @@ class TestProducts:
         pairs = [
             (random_monarch(8, 2, seed=s), random_monarch(8, 2, seed=100 + s)) for s in range(2)
         ]
-        h = hierarchy(pairs, expansion=2, out_size=4)
+        h = hierarchy(pairs, n=4)
         full = np.eye(8)
         for m, adj in zip(h.factors, h.adjoint):
             d = monarch_to_dense(m)
@@ -228,9 +259,11 @@ class TestProducts:
         assert np.linalg.norm(got - dense.conj().T @ x) <= 1e-12 * np.linalg.norm(got)
 
     def test_permuted_mm_star_is_mstar_m(self):
-        # conjugating an MM* matrix by P lands in M*M at block size n/b
-        for seed in range(5):
-            p = random_mm_star(16, 4, seed=seed, constraints=None)
+        # conjugating an MM* matrix by P lands in M*M at block size n/b; the
+        # adjoint flags [False, True] alone make a product MM*
+        m1, m2 = random_monarch(16, 4, seed=20), random_monarch(16, 4, seed=21)
+        products = [random_mm_star(16, 4, seed=seed, constraints=None) for seed in range(5)]
+        for p in products + [MonarchProduct(factors=[m1, m2], adjoint=[False, True])]:
             dense = product_to_dense(p)
             pm = permutation_matrix(BlockPermutation(4, 16))
             conj = pm @ dense @ pm.T
@@ -238,6 +271,16 @@ class TestProducts:
             assert ms.factors[0].b == 16 // 4
             err = np.linalg.norm(product_to_dense(ms) - conj)
             assert err <= 1e-10 * np.linalg.norm(conj)
+
+    def test_permuted_mstar_m_refuses_other_flags(self):
+        m1, m2 = random_monarch(16, 4, seed=20), random_monarch(16, 4, seed=21)
+        refused = [MonarchProduct(factors=[m1, m2], adjoint=flags)
+                   for flags in ([False, False], [True, False], [True, True])]
+        refused += [MonarchProduct(factors=[m1, m2], adjoint=[False, True], n=8),  # a corner
+                    MonarchProduct(factors=[m1], adjoint=[False])]
+        for p in refused:
+            with pytest.raises(ValueError, match=r"MM\* product"):
+                permuted_to_mstar_m(p)
 
 
 class TestRandomInstances:

@@ -129,8 +129,8 @@ class TestSimultaneousDiagonalize:
 
 
 class TestFactorize:
-    @pytest.mark.parametrize("n,b", [(8, 2), (9, 3), (16, 4), (16, 2), (32, 4)])
-    def test_round_trip(self, n, b):
+    @pytest.mark.parametrize("n,b", [(8, 2), (9, 3), (16, 4), (16, 2), (32, 4), (36, None)])
+    def test_round_trip(self, n, b):  # b=None is sqrt(n)
         for seed in range(20):
             product = random_mm_star(n, b, seed=seed)
             dense = product_to_dense(product)
@@ -266,6 +266,8 @@ class TestFactorize:
             factorize_mm_star(np.eye(16), 5)
         with pytest.raises(BadBlocking):
             factorize_mm_star(np.ones((3, 4)), 2)
+        with pytest.raises(BadBlocking, match="perfect square"):
+            factorize_mm_star(np.eye(12), None)
 
 
 class TestAssumption1Check:
@@ -275,6 +277,8 @@ class TestAssumption1Check:
         assert report.passed
         assert report.worst_condition < 1e10
         assert report.best_condition <= report.worst_condition
+        default = assumption1_check(product_to_dense(product), None)  # b = sqrt(16)
+        assert np.array_equal(default.block_conditions, report.block_conditions)
 
     def test_identity_fails(self):
         report = assumption1_check(np.eye(16), 4)

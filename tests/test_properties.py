@@ -256,8 +256,6 @@ def test_factorization_to_dense_matches_permutation_matrices(blocking, seed):
         l1=BlockDiagMatrix(l1),
         l2=BlockDiagMatrix(l2),
         middle=DiagBlockMatrix(b_row=q, b_col=q, entries=entries),
-        b=b,
-        n=n,
         diag_residual=0.0,
         reconstruction_error=0.0,
     )
@@ -305,8 +303,6 @@ def _mm_star_dense(n, b, factors):
         l1=BlockDiagMatrix(l1),
         l2=BlockDiagMatrix(l2),
         middle=DiagBlockMatrix(b_row=q, b_col=q, entries=entries),
-        b=b,
-        n=n,
         diag_residual=0.0,
         reconstruction_error=0.0,
     ).to_dense()
