@@ -1,11 +1,14 @@
 """Monarch structured matrices.
 
 A Monarch matrix is a permuted product of two block-diagonal matrices,
-M = P.T Ltilde P R. The package provides the structured classes and
-permutation machinery, a fast batched application path, optimal Frobenius
-projection of dense matrices onto the Monarch set, exact factorization of
-MM* products via simultaneous diagonalization, butterfly/DFT/Hadamard
-containment constructions, analytic gradients, and a file-format CLI.
+M = P.T Ltilde P R. The package provides the structured classes, a fast
+batched application path that applies P as a reshape-transpose, optimal
+Frobenius projection of dense matrices onto the Monarch set, exact
+factorization of MM* products via simultaneous diagonalization,
+butterfly/DFT/Hadamard containment constructions, analytic gradients, and
+a file-format CLI. The index-table form of P (BlockPermutation and the
+permute_* functions) is read by no library code; it stays exported for the
+benchmark's tracer and the tests' table oracles.
 """
 
 from .butterfly import (
@@ -18,7 +21,6 @@ from .butterfly import (
     random_butterfly,
 )
 from .core import (
-    ASSUMPTION1,
     MonarchMatrix,
     MonarchProduct,
     hierarchy,
@@ -59,16 +61,7 @@ from .factorization import (
     simultaneous_diagonalize,
 )
 from .gradients import MonarchTangent, gradcheck, matvec_vjp
-from .indexing import (
-    BlockForm,
-    BlockPermutation,
-    IndexPermutation,
-    block_form,
-    permutation_matrix,
-    permute_cols,
-    permute_rows,
-    permute_vector,
-)
+from .indexing import BlockPermutation, permute_cols, permute_rows, permute_vector
 from .numerics import EigResult, SvdResult, eig, lu_invert, rank1_approx, svd
 from .projection import ProjectionReport, project, slice_singular_ratios, slice_view
 from .structured import (
@@ -76,8 +69,6 @@ from .structured import (
     DiagBlockMatrix,
     bd_matvec,
     bd_membership,
-    bd_to_db,
-    class_containment_check,
     db_membership,
     db_to_bd,
 )

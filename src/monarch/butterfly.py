@@ -15,9 +15,10 @@ right to left, O(n) per stage and column, with no n x n product.
 
 DFT convention: unnormalized, entry (j, k) = exp(-2*pi*i*j*k/n). The
 decimation-in-time radix-2 factorization gives
-dense(butterfly) @ P_bitrev = DFT_n, with the bit-reversal kept separate
-from the butterfly product (it is an index shuffle, not a butterfly factor).
-The Hadamard transform needs no shuffle at all.
+dense(butterfly)[:, bitrev] = DFT_n, with the bit reversal kept separate
+from the butterfly product: it is an index shuffle, not a butterfly factor,
+and like P it is a reshape-transpose (reverse the s axes of a 2 x ... x 2
+reshape). The Hadamard transform needs no shuffle at all.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import numpy as np
 from .core import MonarchMatrix
 from .counting import add_multiplies
 from .errors import BadBlocking, BadSize, DimensionMismatch
-from .indexing import BlockPermutation, IndexPermutation
 from .structured import BlockDiagMatrix, DiagBlockMatrix, _columns
 
 
@@ -72,10 +72,6 @@ class ButterflyFactorMatrix:
         bot = d[:, 1, 0, :, None] * v[:, 0] + d[:, 1, 1, :, None] * v[:, 1]
         add_multiplies(2 * cols.size)
         return np.stack([top, bot], axis=1).reshape(x.shape)
-
-    def block_dense(self, t: int) -> np.ndarray:
-        """Dense k x k form of block t."""
-        return self.bd_blocks(self.k).blocks[t]
 
     def to_dense(self) -> np.ndarray:
         return self.stage_apply(np.eye(self.n))
@@ -176,9 +172,10 @@ def random_butterfly(n: int, seed: int = 0) -> ButterflyMatrix:
 def dft_butterfly(n: int):
     """Radix-2 decimation-in-time factorization of the unnormalized DFT.
 
-    Returns (butterfly, bitrev) with dense(butterfly) @ matrix(bitrev) equal
-    to the DFT matrix. bitrev is composed from per-level block-transpose
-    shuffles sigma_(2, n/2**level).
+    Returns (butterfly, bitrev) with dense(butterfly)[:, bitrev] equal to
+    the DFT matrix, so butterfly_matvec(butterfly, x[bitrev]) is the DFT of
+    x. bitrev is the int64 bit-reversal index array, an involution:
+    arange(2**s) reshaped to s axes of length 2, axes reversed, flattened.
     """
     s = _check_power_of_two(n)
     factors = []
@@ -192,10 +189,7 @@ def dft_butterfly(n: int):
         diag[:, 1, 0] = 1.0
         diag[:, 1, 1] = -omega
         factors.append(ButterflyFactorMatrix(n=n, k=k, diagonals=diag))
-    bitrev = IndexPermutation.identity(n)
-    for level in range(s - 1):
-        stage = IndexPermutation.block_local(BlockPermutation(2, n >> level), 1 << level)
-        bitrev = bitrev.then(stage)
+    bitrev = np.arange(n, dtype=np.int64).reshape((2,) * s).T.ravel()
     return ButterflyMatrix(n=n, factors=factors), bitrev
 
 

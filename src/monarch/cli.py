@@ -74,7 +74,7 @@ def cmd_gen(args) -> int:
         io.write_dmat(args.out, random_butterfly(n, seed=seed).to_dense())
     elif kind == "dft":
         bm, bitrev = dft_butterfly(n)
-        io.write_dmat(args.out, bm.to_dense()[:, bitrev.table])
+        io.write_dmat(args.out, bm.to_dense()[:, bitrev])
     elif kind == "hadamard":
         io.write_dmat(args.out, hadamard_butterfly(n).to_dense())
     elif kind == "dense-random":

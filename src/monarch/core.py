@@ -218,8 +218,6 @@ def permuted_to_mstar_m(p: MonarchProduct) -> MonarchProduct:
 # ---------------------------------------------------------------------------
 # Random instances
 
-ASSUMPTION1 = "assumption1"
-
 _MIN_MIDDLE_ENTRY = 0.1
 _MAX_BLOCK_CONDITION = 1e4
 #: redraw rounds before the sampler gives up
@@ -242,23 +240,10 @@ def _small_entries(blocks):
     return np.abs(blocks) < _MIN_MIDDLE_ENTRY
 
 
-def _keep_all(blocks):
-    return np.zeros(len(blocks), dtype=bool)
-
-
-def _reject_rules(constraints):
-    """(L-stack rule, middle-stack rule): each maps a block stack to a mask of
-    the blocks, or of the entries, to redraw."""
-    if constraints == ASSUMPTION1:
-        return _ill_conditioned, _small_entries
-    if constraints is None:
-        return _keep_all, _keep_all
-    raise ValueError(f"unknown constraints {constraints!r}")
-
-
 def _sample_blocks(rng, count, size, field, reject) -> BlockDiagMatrix:
     """A (count, size, size) stack of standard normal blocks in which what
-    `reject` flags is redrawn, one batch per round, until nothing is."""
+    `reject` flags (a mask of the blocks, or of the entries) is redrawn, one
+    batch per round, until nothing is."""
     blocks = _standard_blocks(rng, (count, size, size), field)
     for _ in range(_DRAW_BUDGET):
         bad = reject(blocks)
@@ -268,51 +253,32 @@ def _sample_blocks(rng, count, size, field, reject) -> BlockDiagMatrix:
     raise NoConvergence(f"{reject.__name__} still flags draws after {_DRAW_BUDGET} rounds of redraws")
 
 
-def random_monarch(
-    n: int,
-    b: int | None = None,
-    seed: int = 0,
-    field: str = REAL,
-    constraints: str | None = None,
-) -> MonarchMatrix:
-    """A random Monarch matrix with factors drawn i.i.d. standard normal.
+def random_monarch(n: int, b: int | None = None, seed: int = 0, field: str = REAL) -> MonarchMatrix:
+    """A random Monarch matrix with factors drawn i.i.d. standard normal,
+    deterministic under seed."""
+    b = resolve_block_size(n, b)
+    q = n // b
+    rng = np.random.default_rng(seed)
+    ltilde = _standard_blocks(rng, (b, q, q), field)
+    r = _standard_blocks(rng, (q, b, b), field)
+    return MonarchMatrix(ltilde=BlockDiagMatrix(ltilde), r=BlockDiagMatrix(r))
 
-    constraints=ASSUMPTION1 enforces the factorization preconditions:
-    R-block entries bounded away from zero and well-conditioned Ltilde
-    blocks. Deterministic under seed. Raises NoConvergence when the sampler
-    exhausts its redraw budget.
+
+def random_mm_star(n: int, b: int | None = None, seed: int = 0, field: str = REAL) -> MonarchProduct:
+    """A random MM*(b,n) product that meets the factorization's assumption 1.
+
+    The instance is generated directly in the (P.T L1 P) R (P.T L2 P) form
+    with well-conditioned L1, L2 blocks and a middle factor whose entries
+    stay away from zero, so every permuted block is invertible. The two
+    returned factors are (L1, R) and (L2*, I). Deterministic under seed;
+    raises NoConvergence when the sampler exhausts its redraw budget.
     """
     b = resolve_block_size(n, b)
     q = n // b
-    l_rule, r_rule = _reject_rules(constraints)
     rng = np.random.default_rng(seed)
-    ltilde = _sample_blocks(rng, b, q, field, l_rule)
-    r = _sample_blocks(rng, q, b, field, r_rule)
-    return MonarchMatrix(ltilde=ltilde, r=r)
-
-
-def random_mm_star(
-    n: int,
-    b: int | None = None,
-    seed: int = 0,
-    field: str = REAL,
-    constraints: str | None = ASSUMPTION1,
-) -> MonarchProduct:
-    """A random MM*(b,n) product.
-
-    With ASSUMPTION1 constraints the instance is generated directly in the
-    (P.T L1 P) R (P.T L2 P) form with well-conditioned L1, L2 blocks and a
-    middle factor whose entries stay away from zero, so every permuted block
-    is invertible and the factorization algorithm's precondition holds. The
-    two returned factors are (L1, R) and (L2*, I).
-    """
-    b = resolve_block_size(n, b)
-    q = n // b
-    l_rule, middle_rule = _reject_rules(constraints)
-    rng = np.random.default_rng(seed)
-    l1 = _sample_blocks(rng, b, q, field, l_rule)
-    l2 = _sample_blocks(rng, b, q, field, l_rule)
-    middle = _sample_blocks(rng, q, b, field, middle_rule)
+    l1 = _sample_blocks(rng, b, q, field, _ill_conditioned)
+    l2 = _sample_blocks(rng, b, q, field, _ill_conditioned)
+    middle = _sample_blocks(rng, q, b, field, _small_entries)
     m1 = MonarchMatrix(ltilde=l1, r=middle)
     m2 = MonarchMatrix(
         ltilde=l2.conj_transpose(),

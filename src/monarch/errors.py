@@ -60,5 +60,7 @@ class ParseError(MonarchError):
 
 
 class NonFiniteValue(MonarchError):
-    """A value to be written is NaN or infinite; the text formats store
-    finite values only."""
+    """A value is NaN or infinite where only finite values are accepted: an
+    input to a solver (svd, lu_invert, eig, simultaneous_diagonalize,
+    factorize_mm_star and the calls built on them), or a value to be
+    written, since the text formats store finite values only."""

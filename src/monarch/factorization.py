@@ -33,7 +33,7 @@ import numpy as np
 from .core import _square_block_size
 from .counting import add_multiplies
 from .errors import DimensionMismatch, SimDiagFailed, SingularBlock
-from .errors import DefectiveMatrix, NoConvergence, SingularMatrix
+from .errors import DefectiveMatrix, NoConvergence, NonFiniteValue, SingularMatrix
 from .numerics import cond_estimate, eig, frobenius, lu_invert
 from .structured import BlockDiagMatrix, DiagBlockMatrix, db_to_bd
 
@@ -122,7 +122,8 @@ def simultaneous_diagonalize(family) -> SimDiagResult:
     an accidental coincidence of the combination; it is split by the
     eigenvectors of a fresh random combination of the members' cluster
     blocks. One final residual check accepts Q; any failure raises
-    SimDiagFailed (no common eigenbasis to tolerance).
+    SimDiagFailed (no common eigenbasis to tolerance). A member with a NaN
+    or infinite entry raises NonFiniteValue.
     """
     try:
         stack = np.asarray(family, dtype=np.complex128)
@@ -132,7 +133,12 @@ def simultaneous_diagonalize(family) -> SimDiagResult:
         raise DimensionMismatch("family must be a non-empty stack of same-size square matrices")
     members, k = stack.shape[:2]
     rng = np.random.default_rng(_SIMDIAG_SEED)
-    tol = SIMDIAG_RESIDUAL_RTOL * np.maximum(np.linalg.norm(stack, axis=(1, 2)), 1e-300)
+    with np.errstate(invalid="ignore"):  # an infinite entry's square inf * conj(inf) is NaN
+        norms = np.linalg.norm(stack, axis=(1, 2))
+    # a finite norm bounds every entry, so finite input pays for no extra pass
+    if not np.isfinite(norms).all() and not np.isfinite(stack).all():
+        raise NonFiniteValue("simultaneous diagonalization: non-finite family member")
+    tol = SIMDIAG_RESIDUAL_RTOL * np.maximum(norms, 1e-300)
     try:
         res = eig(np.tensordot(rng.standard_normal(members), stack, axes=1))
         order, sizes = _cluster_order(res.lam)
@@ -153,7 +159,7 @@ def simultaneous_diagonalize(family) -> SimDiagResult:
             t[:, cluster] = w.q_inv @ t[:, cluster]
             t[:, :, cluster] = t[:, :, cluster] @ w.q
             add_multiplies(members * size * size + 2 * (members + 1) * size * size * k)
-    except (NoConvergence, DefectiveMatrix) as exc:
+    except (NoConvergence, DefectiveMatrix, NonFiniteValue) as exc:  # NonFiniteValue: finite members overflowed
         raise SimDiagFailed(f"no common eigenbasis: {exc}") from exc
     residual = _offdiag_ratio(t, stack)
     if residual > SIMDIAG_RESIDUAL_RTOL:
@@ -182,15 +188,15 @@ def _singular_block(i: int, j: int, exc: SingularMatrix) -> SingularBlock:
 def factorize_mm_star(m, b: int | None) -> MMStarFactorization:
     """Recover Monarch factors of an MM*(b, n) matrix satisfying assumption 1.
 
-    Raises NoConvergence on a non-finite entry, SingularBlock when a permuted
-    block is not invertible (assumption 1 fails, e.g. for the identity),
-    SimDiagFailed when no common eigenbasis exists to tolerance (the input is
-    not in MM*).
+    Raises NonFiniteValue on a non-finite entry, SingularBlock when a
+    permuted block is not invertible (assumption 1 fails, e.g. for the
+    identity), SimDiagFailed when no common eigenbasis exists to tolerance
+    (the input is not in MM*, or its finite entries overflow the family).
     """
     m = np.asarray(m)
     blocks = _permuted_blocks(m.astype(np.complex128), b)
     if not np.all(np.isfinite(blocks)):
-        raise NoConvergence("factorize_mm_star: input has a non-finite entry")
+        raise NonFiniteValue("factorize_mm_star: input has a non-finite entry")
     b, q = blocks.shape[1:3]
     try:
         inv_col0 = lu_invert(blocks[:, 0])
@@ -206,7 +212,10 @@ def factorize_mm_star(m, b: int | None) -> MMStarFactorization:
     family = (inv_col0[1:, None] @ blocks[1:, 1:] @ right).reshape((b - 1) ** 2, q, q)
     add_multiplies((b - 1) * q**3 + 2 * (b - 1) ** 2 * q**3)
 
-    sim = simultaneous_diagonalize(family)
+    try:
+        sim = simultaneous_diagonalize(family)
+    except NonFiniteValue as exc:  # the input is finite, so the family overflowed
+        raise SimDiagFailed(f"no common eigenbasis: {exc}") from exc
     a_blocks = blocks[:, 0] @ sim.q_inv
     c_blocks = (sim.q @ inv_col0[0]) @ blocks[0]
     add_multiplies((2 * b + 1) * q**3)

@@ -1,4 +1,9 @@
-"""Block-form index arithmetic and the block-transpose permutation family.
+"""The block-transpose permutation as an index table.
+
+No library code calls it: the apply path permutes by a reshape-transpose,
+and the tests keep their own dense form of P. The module stays only because
+the traced benchmark imports monarch.indexing and wraps BlockPermutation
+and the permute_* functions by name; the tests' table oracles use them too.
 
 A flat index i with block size b splits as i = i1*b + i0 (0-indexed). The
 permutation sigma_(b,n) sends i to i0*(n/b) + i1, i.e. it reshapes a length-n
@@ -11,29 +16,9 @@ entries (P L P.T)[sigma(i), sigma(j)] = L[i, j].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import BadBlocking, DimensionMismatch, IndexOutOfRange
-
-
-@dataclass(frozen=True)
-class BlockForm:
-    i1: int  # quotient: floor(i / b)
-    i0: int  # remainder: i mod b
-    b: int
-
-    @property
-    def flat(self) -> int:
-        return self.i1 * self.b + self.i0
-
-
-def block_form(i: int, b: int) -> BlockForm:
-    """Split flat index i into (quotient, remainder) at block size b."""
-    if i < 0 or b < 1:
-        raise IndexOutOfRange(f"need i >= 0 and b >= 1, got i={i}, b={b}")
-    return BlockForm(i1=i // b, i0=i % b, b=b)
 
 
 class BlockPermutation:
@@ -58,47 +43,6 @@ class BlockPermutation:
     def inverse(self) -> "BlockPermutation":
         # sigma_(b,n)^-1 = sigma_(n/b,n)
         return BlockPermutation(self.n // self.b, self.n)
-
-
-class IndexPermutation:
-    """An arbitrary bijection on [0, n), same action conventions as above.
-
-    Used for compositions of block permutations (e.g. the bit-reversal
-    shuffle built from stages of sigma_(2, .)).
-    """
-
-    def __init__(self, table):
-        table = np.asarray(table, dtype=np.int64)
-        n = len(table)
-        if not np.array_equal(np.sort(table), np.arange(n)):
-            raise IndexOutOfRange("table is not a permutation of [0, n)")
-        self.table = table
-        self.n = n
-
-    def apply(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexOutOfRange(f"index {i} outside [0, {self.n})")
-        return int(self.table[i])
-
-    def inverse(self) -> "IndexPermutation":
-        inv = np.empty(self.n, dtype=np.int64)
-        inv[self.table] = np.arange(self.n)
-        return IndexPermutation(inv)
-
-    def then(self, other) -> "IndexPermutation":
-        """Composition: apply self first, then other."""
-        return IndexPermutation(other.table[self.table])
-
-    @classmethod
-    def identity(cls, n: int) -> "IndexPermutation":
-        return cls(np.arange(n))
-
-    @classmethod
-    def block_local(cls, p: BlockPermutation, copies: int) -> "IndexPermutation":
-        """copies independent applications of p on consecutive segments."""
-        seg = p.n
-        table = np.concatenate([c * seg + p.table for c in range(copies)])
-        return cls(table)
 
 
 def permute_vector(p, x: np.ndarray) -> np.ndarray:
@@ -129,10 +73,3 @@ def permute_cols(p, a: np.ndarray) -> np.ndarray:
     out = np.empty_like(a)
     out[:, p.table] = a
     return out
-
-
-def permutation_matrix(p, dtype=np.float64) -> np.ndarray:
-    """Dense P with P[sigma(i), i] = 1."""
-    mat = np.zeros((p.n, p.n), dtype=dtype)
-    mat[p.table, np.arange(p.n)] = 1.0
-    return mat

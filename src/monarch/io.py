@@ -14,7 +14,8 @@ one %-operation and writes it with one call, so it holds one stack's text
 at a time, and a reader splits the whole file once and converts all values
 with one numpy call. The format stores finite values only: writers raise
 NonFiniteValue (and write nothing) on NaN or infinity, readers raise
-ParseError; likewise write_dmat raises BadSize on a zero dimension.
+ParseError; likewise write_dmat raises BadSize on a zero dimension and
+DimensionMismatch on an array that is not 2-D.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import MonarchMatrix, resolve_block_size
-from .errors import BadBlocking, BadSize, NonFiniteValue, ParseError
+from .errors import BadBlocking, BadSize, DimensionMismatch, NonFiniteValue, ParseError
 from .numerics import dtype_for
 from .structured import BlockDiagMatrix
 
@@ -59,7 +60,7 @@ def _format_blocks(blocks) -> str:
 def write_dmat(path, a) -> None:
     a = np.asarray(a)
     if a.ndim != 2:
-        raise ParseError(f"dmat stores 2-D matrices, got ndim={a.ndim}")
+        raise DimensionMismatch(f"{path}: dmat stores 2-D matrices, got ndim={a.ndim}")
     if 0 in a.shape:
         raise BadSize(f"{path}: dmat sizes must be positive, got {a.shape[0]}x{a.shape[1]}")
     _check_finite(path, a)

@@ -42,6 +42,7 @@ from .errors import (
     DefectiveMatrix,
     DimensionMismatch,
     NoConvergence,
+    NonFiniteValue,
     SingularMatrix,
 )
 
@@ -107,8 +108,10 @@ def lu_invert(a) -> np.ndarray:
     Gauss-Jordan elimination on [A | I] with partial pivoting, one column
     step for every matrix of the stack at once; a single matrix is a batch
     of one. Raises SingularMatrix, naming the first failing matrix of the
-    stack, when a pivot is not above SINGULAR_PIVOT_RTOL * max|A_i| (so a
-    NaN or infinite entry fails too).
+    stack, when a pivot is not above SINGULAR_PIVOT_RTOL * max|A_i|, and
+    NonFiniteValue, naming the first non-finite matrix, when the stack has
+    a NaN or infinite entry (no pivot is above that threshold then, so
+    finite input pays for no separate check).
     """
     a = np.asarray(a)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
@@ -135,6 +138,9 @@ def lu_invert(a) -> np.ndarray:
     threshold = SINGULAR_PIVOT_RTOL * np.abs(stack).max(axis=(1, 2), initial=0.0)
     bad = ~(pivots > threshold[:, None])
     if bad.any():
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        if not finite.all():
+            raise NonFiniteValue(f"matrix {int(np.argmin(finite))}: non-finite entry")
         i = int(np.argmax(bad.any(axis=1)))
         j = int(np.argmax(bad[i]))
         raise SingularMatrix(
@@ -160,8 +166,9 @@ def svd(a) -> SvdResult:
 
     One-sided Jacobi rotations on the columns, every matrix of a stack in
     the same batched kernel; a single matrix is a batch of one. Raises
-    NoConvergence if column pairs are still far from orthogonal after the
-    sweep budget, or at once on a non-finite entry.
+    NonFiniteValue at once on a non-finite entry, and NoConvergence if
+    column pairs are still far from orthogonal after the sweep budget, or
+    if a finite input's norm overflows.
     """
     a = np.asarray(a)
     if a.ndim not in (2, 3):
@@ -210,7 +217,9 @@ def _jacobi_svd(stack: np.ndarray):
     # a NaN Gram entry compares false and would read as converged; rotations
     # preserve |a|_F, so a finite one here bounds every later Gram entry
     if not np.isfinite(frobenius_sq).all():
-        raise NoConvergence("jacobi svd: non-finite entry or norm overflow")
+        if not np.isfinite(stack).all():
+            raise NonFiniteValue("jacobi svd: non-finite entry")
+        raise NoConvergence("jacobi svd: norm overflow")
     # columns whose norm falls below machine noise relative to |a|_F are
     # numerically zero: rotating them never converges, so freeze them
     zero_col_sq = (4.0 * EPS) ** 2 * frobenius_sq
@@ -464,17 +473,17 @@ def _triangular_eigenvectors(t: np.ndarray):
 def eig(a) -> EigResult:
     """Eigendecomposition a @ q = q @ diag(lam), computed in complex arithmetic.
 
-    Real inputs are promoted; raises DefectiveMatrix when the eigenvector
-    matrix condition estimate exceeds DEFECTIVE_CONDITION, NoConvergence when
-    the QR iteration stalls, or at once on a non-finite entry. Eigenvalues
-    are returned unsorted.
+    Real inputs are promoted; raises NonFiniteValue at once on a non-finite
+    entry, DefectiveMatrix when the eigenvector matrix condition estimate
+    exceeds DEFECTIVE_CONDITION, and NoConvergence when the QR iteration
+    stalls. Eigenvalues are returned unsorted.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch("eig needs a square matrix")
     # a NaN subdiagonal never compares small enough to deflate
     if not np.isfinite(a).all():
-        raise NoConvergence("qr eigensolver: non-finite entry")
+        raise NonFiniteValue("qr eigensolver: non-finite entry")
     n = a.shape[0]
     ac = a.astype(np.complex128)
     if n <= 1:
@@ -489,7 +498,7 @@ def eig(a) -> EigResult:
     lam = np.diag(t).copy()
     try:
         inv_basis = lu_invert(basis)
-    except SingularMatrix as exc:
+    except (SingularMatrix, NonFiniteValue) as exc:  # a finite input's basis may still overflow
         raise DefectiveMatrix("eigenvector matrix is singular") from exc
     cond = frobenius(basis) * frobenius(inv_basis)
     if cond > DEFECTIVE_CONDITION:

@@ -9,7 +9,7 @@ is {(i, j) : i mod b2 = j} for b2 <= b3 (the transposed condition otherwise).
 
 The two classes are exchanged by conjugation with the block-transpose
 permutation: P_(b,n) @ dense(L) @ P_(b,n).T is in BD(n/b, n) for L in
-DB(b, n), realized entrywise exactly by db_to_bd / bd_to_db.
+DB(b, n), realized entrywise exactly by db_to_bd.
 
 Membership predicates test exact zeros: the classes are support patterns,
 so no tolerance is involved.
@@ -228,14 +228,6 @@ def db_to_bd(l: DiagBlockMatrix) -> BlockDiagMatrix:
     return BlockDiagMatrix(blocks)
 
 
-def bd_to_db(r: BlockDiagMatrix, b: int) -> DiagBlockMatrix:
-    """Exact inverse of db_to_bd: r must consist of b blocks."""
-    if r.num_blocks != b:
-        raise BadBlocking(f"expected {b} blocks, found {r.num_blocks}")
-    entries = np.ascontiguousarray(np.moveaxis(r.blocks, 0, 2))
-    return DiagBlockMatrix(b_row=b, b_col=b, entries=entries)
-
-
 def _columns(x: np.ndarray, rows: int) -> np.ndarray:
     """x as a (rows, k) column stack; a vector is a stack of one column."""
     if x.ndim not in (1, 2) or x.shape[0] != rows:
@@ -266,10 +258,3 @@ def bd_matvec_adjoint(r: BlockDiagMatrix, x) -> np.ndarray:
     out = np.conj(np.matmul(rows, r.blocks)).swapaxes(1, 2)
     add_multiplies(q * b2 * b1 * k)
     return out.reshape((q * b1,) + x.shape[1:])
-
-
-def class_containment_check(b: int, c: int, n: int) -> bool:
-    """Whether BD(b,n) is contained in BD(c,n): b | c and c | n."""
-    if b < 1 or c < 1 or n < 1:
-        return False
-    return c % b == 0 and n % c == 0

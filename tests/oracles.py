@@ -6,7 +6,14 @@ code paths it checks.
 
 import numpy as np
 
-from monarch.indexing import BlockPermutation, permutation_matrix
+from monarch.indexing import BlockPermutation
+
+
+def permutation_matrix(p, dtype=np.float64) -> np.ndarray:
+    """Dense P with P[sigma(i), i] = 1, from a permutation's index table."""
+    mat = np.zeros((p.n, p.n), dtype=dtype)
+    mat[p.table, np.arange(p.n)] = 1.0
+    return mat
 
 
 def monarch_dense_oracle(m) -> np.ndarray:

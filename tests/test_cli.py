@@ -4,7 +4,7 @@ import pytest
 from monarch import io
 from monarch.cli import main
 from monarch.core import monarch_to_dense, random_monarch
-from monarch.errors import BadSize, NonFiniteValue, ParseError
+from monarch.errors import BadSize, DimensionMismatch, NonFiniteValue, ParseError
 from oracles import sylvester_hadamard
 
 
@@ -80,6 +80,14 @@ class TestFileFormats:
         with pytest.raises(NonFiniteValue):
             io.write_mon(mon, m)
         assert not path.exists() and not mon.exists()
+
+    def test_write_dmat_refuses_non_matrix(self, tmp_path):
+        # a bad shape is the caller's error, not a malformed file
+        path = tmp_path / "a.dmat"
+        for a in (np.ones(4), np.ones((2, 2, 2)), np.float64(1.0)):
+            with pytest.raises(DimensionMismatch, match="2-D"):
+                io.write_dmat(path, a)
+        assert not path.exists()
 
     def test_read_any_opens_each_file_once(self, tmp_path, monkeypatch):
         opened = []
@@ -201,7 +209,8 @@ class TestFactorizeCommand:
         err = float(text.splitlines()[0].split()[1])
         assert err <= 1e-8
         # reconstruct from the three dense factor files
-        from monarch.indexing import BlockPermutation, permutation_matrix
+        from monarch.indexing import BlockPermutation
+        from oracles import permutation_matrix
 
         l1 = io.read_dmat(prefix + ".l1.dmat")
         r = io.read_dmat(prefix + ".r.dmat")

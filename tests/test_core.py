@@ -5,7 +5,6 @@ import pytest
 
 from monarch import core
 from monarch.core import (
-    ASSUMPTION1,
     MonarchMatrix,
     MonarchProduct,
     hierarchy,
@@ -24,11 +23,11 @@ from monarch.core import (
 )
 from monarch.counting import count_multiplies
 from monarch.errors import BadBlocking, DimensionMismatch, NoConvergence
-from monarch.indexing import BlockPermutation, permutation_matrix
+from monarch.indexing import BlockPermutation
 from monarch.numerics import lu_invert
 from monarch.projection import slice_singular_ratios
 from monarch.structured import BlockDiagMatrix
-from oracles import monarch_dense_oracle
+from oracles import monarch_dense_oracle, permutation_matrix
 
 
 def counted_matvec_oracle(m, x):
@@ -221,7 +220,7 @@ class TestProducts:
     def test_product_to_dense_applies_the_identity(self):
         # one product_matvec over the n identity columns, with no n x n product
         n, b = 64, 8
-        p = random_mm_star(n, b, seed=3, constraints=None)
+        p = mm_star(random_monarch(n, b, seed=3), random_monarch(n, b, seed=4))
         with count_multiplies() as tally:
             dense = product_to_dense(p)
         assert tally.multiplies == 2 * n * (n * b + n * n // b) == 131072
@@ -262,7 +261,8 @@ class TestProducts:
         # conjugating an MM* matrix by P lands in M*M at block size n/b; the
         # adjoint flags [False, True] alone make a product MM*
         m1, m2 = random_monarch(16, 4, seed=20), random_monarch(16, 4, seed=21)
-        products = [random_mm_star(16, 4, seed=seed, constraints=None) for seed in range(5)]
+        products = [mm_star(random_monarch(16, 4, seed=seed), random_monarch(16, 4, seed=50 + seed))
+                    for seed in range(5)]
         for p in products + [MonarchProduct(factors=[m1, m2], adjoint=[False, True])]:
             dense = product_to_dense(p)
             pm = permutation_matrix(BlockPermutation(4, 16))
@@ -295,7 +295,7 @@ class TestRandomInstances:
     def test_assumption1_blocks_invertible(self):
         from monarch.factorization import _permuted_blocks
 
-        m = random_monarch(16, 4, seed=9, constraints=ASSUMPTION1)
+        m = random_mm_star(16, 4, seed=9).factors[0]
         assert np.min(np.abs(m.r.blocks)) >= 0.1
         blocks = _permuted_blocks(monarch_to_dense(m), 4)
         for i in range(4):
@@ -306,8 +306,6 @@ class TestRandomInstances:
 
     def test_conditioned_sampler_bounded(self, monkeypatch):
         monkeypatch.setattr(core, "cond_estimate", lambda a: np.inf)
-        with pytest.raises(NoConvergence, match="draws"):
-            random_monarch(16, 4, seed=9, constraints=ASSUMPTION1)
         with pytest.raises(NoConvergence, match="draws"):
             random_mm_star(16, 4, seed=9)
 
@@ -326,16 +324,10 @@ class TestRandomInstances:
         random_mm_star(64, 8, seed=0)
         assert calls == [(8, 8, 8), (8, 8, 8)]
 
-    def test_unknown_constraints(self):
-        with pytest.raises(ValueError, match="unknown constraints"):
-            random_monarch(16, 4, constraints="none")
-        with pytest.raises(ValueError, match="unknown constraints"):
-            random_mm_star(16, 4, constraints="assumption2")
-
     def test_nonzero_entry_sampler_bounded(self, monkeypatch):
         monkeypatch.setattr(core, "_MIN_MIDDLE_ENTRY", np.inf)
         with pytest.raises(NoConvergence, match="redraws"):
-            random_monarch(16, 4, seed=9, constraints=ASSUMPTION1)
+            random_mm_star(16, 4, seed=9)
 
     def test_slice_rank_invariant(self):
         for n, b, field in [(16, 4, "real"), (16, 2, "real"), (36, 6, "complex")]:

@@ -7,7 +7,7 @@ from monarch import factorization
 from monarch import numerics as nm
 from monarch.core import product_to_dense, random_mm_star
 from monarch.counting import count_multiplies
-from monarch.errors import BadBlocking, NoConvergence, SimDiagFailed, SingularBlock
+from monarch.errors import BadBlocking, NonFiniteValue, SimDiagFailed, SingularBlock
 from monarch.factorization import (
     assumption1_check,
     factorize_mm_star,
@@ -47,6 +47,20 @@ def _count_calls(monkeypatch, kernel):
 
 
 class TestSimultaneousDiagonalize:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_member_rejected(self, bad):
+        family = _conjugated([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0]], seed=2)
+        family[1][0, 2] = bad
+        with pytest.raises(NonFiniteValue, match="non-finite"):
+            simultaneous_diagonalize(family)
+
+    def test_overflowing_combination_is_simdiag_failed(self):
+        # finite members whose seeded combination (coefficients 0.33, 0.92
+        # and 1.57) overflows
+        family = [np.full((3, 3), 1e308)] * 3
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SimDiagFailed, match="non-finite"):
+            simultaneous_diagonalize(family)
+
     def test_already_diagonal_family(self):
         rng = np.random.default_rng(0)
         family = [np.diag(rng.standard_normal(4)) for _ in range(3)]
@@ -218,7 +232,8 @@ class TestFactorize:
                 c_j = np.linalg.inv(scales_j[j]) @ p.T @ np.conj(l2[j]).T
                 d_ij = scales_i[i] @ p.T @ np.diag(d[i, j]) @ p @ scales_j[j]
                 mt[i * q : (i + 1) * q, j * q : (j + 1) * q] = a_i @ d_ij @ c_j
-        from monarch.indexing import BlockPermutation, permutation_matrix
+        from monarch.indexing import BlockPermutation
+        from oracles import permutation_matrix
 
         pm = permutation_matrix(BlockPermutation(b, n))
         dense_gauged = pm.T @ mt @ pm
@@ -258,7 +273,16 @@ class TestFactorize:
     def test_non_finite_entry_rejected(self, bad):
         dense = product_to_dense(random_mm_star(16, 4, seed=1))
         dense[3, 5] = bad
-        with pytest.raises(NoConvergence, match="non-finite"):
+        with pytest.raises(NonFiniteValue, match="non-finite"):
+            factorize_mm_star(dense, 4)
+        with pytest.raises(NonFiniteValue):
+            assumption1_check(dense, 4)
+
+    def test_overflowing_family_is_simdiag_failed(self):
+        # finite input whose commuting family overflows keeps the old error
+        dense = product_to_dense(random_mm_star(16, 4, seed=1))
+        factorization._permuted_blocks(dense, 4)[1:, 1:] *= 1e307
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SimDiagFailed):
             factorize_mm_star(dense, 4)
 
     def test_bad_blocking(self):

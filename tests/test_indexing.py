@@ -2,35 +2,10 @@ import numpy as np
 import pytest
 
 from monarch.errors import BadBlocking, DimensionMismatch, IndexOutOfRange
-from monarch.indexing import (
-    BlockPermutation,
-    IndexPermutation,
-    block_form,
-    permutation_matrix,
-    permute_cols,
-    permute_rows,
-    permute_vector,
-)
+from monarch.indexing import BlockPermutation, permute_cols, permute_rows, permute_vector
+from oracles import permutation_matrix
 
 PAIRS = [(2, 4), (2, 8), (4, 8), (4, 16), (3, 12), (1, 6), (6, 6)]
-
-
-class TestBlockForm:
-    def test_examples(self):
-        assert (block_form(5, 2).i1, block_form(5, 2).i0) == (2, 1)
-        assert (block_form(0, 7).i1, block_form(0, 7).i0) == (0, 0)
-        assert (block_form(11, 4).i1, block_form(11, 4).i0) == (2, 3)
-
-    def test_reconstruction(self):
-        for i in range(30):
-            for b in (1, 2, 3, 5):
-                assert block_form(i, b).flat == i
-
-    def test_preconditions(self):
-        with pytest.raises(IndexOutOfRange):
-            block_form(-1, 2)
-        with pytest.raises(IndexOutOfRange):
-            block_form(3, 0)
 
 
 class TestSigma:
@@ -134,20 +109,3 @@ class TestPermuteOps:
         with pytest.raises(DimensionMismatch):
             permute_vector(p, np.zeros(4))
 
-
-class TestIndexPermutation:
-    def test_rejects_non_bijection(self):
-        with pytest.raises(IndexOutOfRange):
-            IndexPermutation([0, 0, 2])
-
-    def test_compose_and_invert(self):
-        p = IndexPermutation([1, 2, 0])
-        q = IndexPermutation([2, 1, 0])
-        total = p.then(q)  # total(i) = q(p(i))
-        assert [total.apply(i) for i in range(3)] == [q.apply(p.apply(i)) for i in range(3)]
-        inv = total.inverse()
-        assert all(inv.apply(total.apply(i)) == i for i in range(3))
-
-    def test_block_local(self):
-        stage = IndexPermutation.block_local(BlockPermutation(2, 4), 2)
-        assert list(stage.table) == [0, 2, 1, 3, 4, 6, 5, 7]

@@ -7,7 +7,14 @@ import pytest
 
 from monarch import numerics as nm
 from monarch.counting import count_multiplies
-from monarch.errors import DefectiveMatrix, DimensionMismatch, MonarchError, NoConvergence, SingularMatrix
+from monarch.errors import (
+    DefectiveMatrix,
+    DimensionMismatch,
+    MonarchError,
+    NoConvergence,
+    NonFiniteValue,
+    SingularMatrix,
+)
 
 
 def naive_matmul(a, b):
@@ -125,13 +132,15 @@ class TestLuInvert:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_raises(self, bad):
-        with pytest.raises(SingularMatrix):
+        with pytest.raises(NonFiniteValue, match="matrix 0: non-finite"):
             nm.lu_invert(np.array([[bad, 1.0], [1.0, 1.0]]))
         a = np.tile(2.0 * np.eye(4), (3, 1, 1))
         a[1, 3, 2] = bad
-        with pytest.raises(SingularMatrix) as exc:
+        with pytest.raises(NonFiniteValue, match="matrix 1: non-finite"):
             nm.lu_invert(a)
-        assert exc.value.index == 1
+        a[0] = 0.0  # a singular member before the non-finite one
+        with pytest.raises(NonFiniteValue, match="matrix 1: non-finite"):
+            nm.lu_invert(a)
 
     def test_counts_gauss_jordan_work(self):
         with count_multiplies() as tally:
@@ -178,10 +187,16 @@ class TestSvd:
     def test_non_finite_entry_raises(self, bad, shape):
         a = np.ones(shape)
         a.flat[3] = bad
-        with pytest.raises(NoConvergence) as exc:
+        with pytest.raises(NonFiniteValue) as exc:
             nm.svd(a)
         assert isinstance(exc.value, MonarchError)
         assert "non-finite" in str(exc.value)
+        with pytest.raises(NonFiniteValue):
+            nm.cond_estimate(a)
+
+    def test_finite_norm_overflow_is_no_convergence(self):
+        with np.errstate(over="ignore"), pytest.raises(NoConvergence, match="norm overflow"):
+            nm.svd(np.full((3, 3), 1e200))
 
     def test_sweep_budget_exhausted(self, monkeypatch):
         monkeypatch.setattr(nm, "_SVD_MAX_SWEEPS", 1)
@@ -299,7 +314,13 @@ class TestEig:
     def test_non_finite_entry_raises(self, bad):
         a = np.random.default_rng(19).standard_normal((32, 32))
         a[7, 3] = bad
-        with pytest.raises(NoConvergence, match="non-finite"):
+        with pytest.raises(NonFiniteValue, match="non-finite"):
+            nm.eig(a)
+
+    def test_finite_overflow_stays_defective(self):
+        # finite input whose eigenvector basis overflows is not non-finite input
+        a = np.diag([1e308, -1e308, 1.0]) + np.triu(np.full((3, 3), 1e308), 1)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DefectiveMatrix):
             nm.eig(a)
 
     def test_multiplies_grow_as_cube(self):

@@ -3,7 +3,7 @@ import pytest
 
 from monarch.core import monarch_to_dense, random_monarch
 from monarch.counting import count_multiplies
-from monarch.errors import BadBlocking, IndexOutOfRange, MonarchError
+from monarch.errors import BadBlocking, IndexOutOfRange, NonFiniteValue
 from monarch.projection import project, slice_singular_ratios, slice_view
 
 
@@ -171,7 +171,7 @@ class TestNonFinite:
     def test_rejected(self, bad, solver):
         a = np.random.default_rng(12).standard_normal((16, 16))
         a[5, 9] = bad
-        with pytest.raises(MonarchError):
+        with pytest.raises(NonFiniteValue):
             solver(a, 4)
 
 

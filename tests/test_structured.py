@@ -3,18 +3,17 @@ import pytest
 
 from monarch.counting import count_multiplies
 from monarch.errors import BadBlocking, DimensionMismatch, UnsupportedBlocking
-from monarch.indexing import BlockPermutation, permutation_matrix
+from monarch.indexing import BlockPermutation
 from monarch.structured import (
     BlockDiagMatrix,
     DiagBlockMatrix,
     bd_matvec,
     bd_matvec_adjoint,
     bd_membership,
-    bd_to_db,
-    class_containment_check,
     db_membership,
     db_to_bd,
 )
+from oracles import permutation_matrix
 
 CONJUGATION_PAIRS = [(2, 4), (2, 8), (4, 8), (4, 16), (3, 12)]
 
@@ -125,14 +124,6 @@ class TestConversions:
             p = permutation_matrix(BlockPermutation(b, n))
             assert np.array_equal(db_to_bd(l).to_dense(), p @ l.to_dense() @ p.T)
 
-    def test_round_trip_bitwise(self):
-        rng = np.random.default_rng(6)
-        for b, n in [(2, 4), (2, 8), (4, 8)]:
-            r = BlockDiagMatrix(rng.standard_normal((b, n // b, n // b)))
-            assert np.array_equal(db_to_bd(bd_to_db(r, b)).to_dense(), r.to_dense())
-            l = random_db(b, n, rng)
-            assert np.array_equal(bd_to_db(db_to_bd(l), b).to_dense(), l.to_dense())
-
     def test_rectangular_equal_blocks(self):
         # b2 = b3 = b: P_(b,n3) L P_(b,n2)^T is rectangular block-diagonal
         rng = np.random.default_rng(7)
@@ -148,11 +139,6 @@ class TestConversions:
         l = DiagBlockMatrix(b_row=2, b_col=3, entries=np.ones((2, 2, 3)))
         with pytest.raises(UnsupportedBlocking):
             db_to_bd(l)
-
-    def test_bd_to_db_block_count_check(self):
-        r = BlockDiagMatrix(np.ones((3, 2, 2)))
-        with pytest.raises(BadBlocking):
-            bd_to_db(r, 4)
 
 
 class TestBdMatvec:
@@ -202,14 +188,9 @@ class TestBdMatvec:
 
 
 class TestContainment:
-    def test_examples(self):
-        assert class_containment_check(2, 4, 8)
-        assert not class_containment_check(4, 2, 8)
-        assert class_containment_check(2, 6, 12)
-
     def test_random_members_nest(self):
+        # BD(2, 12) lies in BD(6, 12): 2 | 6 and 6 | 12
         rng = np.random.default_rng(10)
-        assert class_containment_check(2, 6, 12)
         for _ in range(20):
             dense = random_bd(2, 12, rng).to_dense()
             assert bd_membership(dense, 6, 6)
