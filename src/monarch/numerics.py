@@ -16,7 +16,13 @@ directly.
   * svd           - one-sided Jacobi rotations over a stack of matrices:
                     each sweep is a Brent-Luk round-robin of disjoint column
                     pairs, and one round rotates those pairs in every matrix
-                    of the stack at once (a single matrix is a batch of one)
+                    of the stack at once (a single matrix is a batch of one);
+                    the full decomposition, and rank1_approx's fallback
+  * rank1_approx  - each matrix's top singular pair from repeated squaring
+                    of its trace-normalised Gram matrix and two power steps,
+                    about 20 batched products for a whole stack; only the
+                    matrices whose pair fails a residual certificate go
+                    through svd
   * cond_estimate - sigma_max / sigma_min from one svd call, for a matrix or
                     each matrix of a stack; inf where sigma_min is zero
   * eig           - Hessenberg reduction (exactly zero below the
@@ -61,6 +67,9 @@ DEFECTIVE_CONDITION = 1e10
 _SVD_MAX_SWEEPS = 60
 _QR_STEPS_PER_EIGENVALUE = 60
 _SVD_ORTH_TOL = 1e-14
+_RANK1_SQUARINGS = 12
+_RANK1_POWER_STEPS = 2
+_RANK1_CERTIFY_RTOL = 1e-13
 
 
 def dtype_for(field: str):
@@ -324,13 +333,67 @@ def rank1_approx(a):
 
     Returns (u, v) with u = s_1 * U[:, 0] and v = V[:, 0]; both zero vectors
     for a zero matrix. A stack (batch, rows, cols) gives (batch, rows) and
-    (batch, cols) stacks from one batched SVD.
+    (batch, cols) stacks.
+
+    Every matrix of the stack goes through one batched power scheme on its
+    Gram matrix G = S^H S, formed on the smaller side (S S^H when rows <
+    cols, with the roles of u and v swapped, as in svd). P = G / tr G is
+    squared _RANK1_SQUARINGS times, each square divided by its trace; v is
+    the column of P with the largest diagonal entry, normalized and refined
+    by _RANK1_POWER_STEPS steps v <- G v / |G v|; then u = S v and
+    sigma = |u|. A pair is certified when |S^H u / sigma - sigma v| <=
+    _RANK1_CERTIFY_RTOL * sigma, so a certified pair is a singular pair to
+    that residual; the matrices it fails (a small gap sigma_1 - sigma_2, or
+    a Gram matrix that overflows) go through svd. With m = max(rows, cols)
+    and k = min(rows, cols), the scheme counts
+    batch * (m k^2 + _RANK1_SQUARINGS k^3 + _RANK1_POWER_STEPS k^2 + 2 m k)
+    multiplies, and svd counts its own. Raises NonFiniteValue on a NaN or
+    infinite entry, and NoConvergence where svd does.
     """
-    res = svd(a)
-    s1 = res.s[..., :1]
-    u = np.where(s1 == 0.0, 0.0, s1 * res.u[..., 0])
-    v = np.where(s1 == 0.0, 0.0, res.v[..., 0])
-    return u, v
+    a = np.asarray(a)
+    if a.ndim not in (2, 3):
+        raise DimensionMismatch("rank1_approx operand must be a matrix or a stack of matrices")
+    stack = a[None] if a.ndim == 2 else a
+    stack = stack.astype(dtype_for(field_of(stack)), copy=False)
+    batch, rows, cols = stack.shape
+    wide = rows < cols
+    s = stack.conj().transpose(0, 2, 1) if wide else stack  # tall: (batch, m, k)
+    sh = stack if wide else stack.conj().transpose(0, 2, 1)
+    m, k = s.shape[1:]
+    # a zero or overflowed matrix turns to nan here, within its own matrix;
+    # it is then either zero or uncertified, and never read
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g = sh @ s
+        trace = np.trace(g, axis1=1, axis2=2).real
+        # a non-finite entry makes its matrix's trace non-finite
+        if not np.isfinite(trace).all() and not np.isfinite(stack).all():
+            raise NonFiniteValue("rank-1 approximation: non-finite entry")
+        p = g / trace[:, None, None]
+        for _ in range(_RANK1_SQUARINGS):
+            p = p @ p
+            p /= np.trace(p, axis1=1, axis2=2).real[:, None, None]
+        top = np.argmax(np.diagonal(p, axis1=1, axis2=2).real, axis=1)
+        x = np.take_along_axis(p, top[:, None, None], axis=2)
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        for _ in range(_RANK1_POWER_STEPS):
+            x = g @ x
+            x /= np.linalg.norm(x, axis=1, keepdims=True)
+        y = s @ x
+        sigma = np.linalg.norm(y, axis=1, keepdims=True)
+        y_hat = y / sigma
+        resid = np.linalg.norm(sh @ y_hat - sigma * x, axis=(1, 2))
+        add_multiplies(batch * (m * k * k + _RANK1_SQUARINGS * k**3 + _RANK1_POWER_STEPS * k * k + 2 * m * k))
+        zero = trace == 0.0
+        bad = ~(zero | (resid <= _RANK1_CERTIFY_RTOL * sigma[:, 0, 0]))
+        u, v = (sigma * x, y_hat) if wide else (y, x)
+        u, v = u[:, :, 0], v[:, :, 0]
+        u[zero] = 0.0
+        v[zero] = 0.0
+        if bad.any():
+            res = svd(stack[bad])  # never a zero matrix, so sigma_1 > 0
+            u[bad] = res.s[:, :1] * res.u[:, :, 0]
+            v[bad] = res.v[:, :, 0]
+    return (u[0], v[0]) if a.ndim == 2 else (u, v)
 
 
 def cond_estimate(a):

@@ -5,9 +5,10 @@ of M(b, n) has every (j, k) slice At[:, j, k, :] equal to an outer product,
 so the squared-distance objective splits into b * (n/b) independent rank-1
 approximation problems, each solved optimally by SVD truncation
 (Eckart-Young). All slices are solved together: they form one
-(b * (n/b), n/b, b) stack for a single batched Jacobi SVD. Reassembling the
-per-slice vectors gives the factors: Ltilde_j[l, k] = u_jk[l] and
-R_k[j, i] = conj(v_jk)[i].
+(b * (n/b), n/b, b) stack for a single batched rank1_approx call, a power
+scheme on each slice's Gram matrix that hands only the slices it cannot
+certify to the Jacobi SVD. Reassembling the per-slice vectors gives the
+factors: Ltilde_j[l, k] = u_jk[l] and R_k[j, i] = conj(v_jk)[i].
 
 The per-slice phase is gauged by making the largest-magnitude entry of each
 v_jk real and positive, which makes projections bit-reproducible.
@@ -51,7 +52,7 @@ def project(a, b: int | None = None):
     """Closest Monarch matrix in Frobenius norm, with a residual report.
 
     Returns (MonarchMatrix, ProjectionReport). All b * (n/b) slices go to
-    rank1_approx as one stack, so the rank-1 solves share one batched SVD.
+    rank1_approx as one stack, so the rank-1 solves share one batched call.
     """
     a = np.asarray(a)
     b = _square_block_size(a, b)

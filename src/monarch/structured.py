@@ -54,10 +54,6 @@ class BlockDiagMatrix:
         return (q * b2, q * b1)
 
     @property
-    def support_size(self) -> int:
-        return self.blocks.size
-
-    @property
     def is_square_blocked(self) -> bool:
         return self.block_rows == self.block_cols
 
@@ -65,25 +61,12 @@ class BlockDiagMatrix:
     def identity(cls, b: int, q: int, dtype=np.float64) -> "BlockDiagMatrix":
         return cls(np.broadcast_to(np.eye(b, dtype=dtype), (q, b, b)).copy())
 
-    @classmethod
-    def from_dense(cls, a, block_rows: int, block_cols: int) -> "BlockDiagMatrix":
-        """Extract diagonal blocks; raises BadBlocking if a is not a member."""
-        a = np.asarray(a)
-        if not bd_membership(a, block_rows, block_cols):
-            raise BadBlocking("matrix has entries outside the block-diagonal support")
-        idx = np.arange(a.shape[0] // block_rows)
-        # block i is entry (i, :, i, :) of the 4-D view
-        return cls(a.reshape(len(idx), block_rows, len(idx), block_cols)[idx, :, idx])
-
     def to_dense(self) -> np.ndarray:
         q, b2, b1 = self.blocks.shape
         out = np.zeros((q, b2, q, b1), dtype=self.blocks.dtype)
         idx = np.arange(q)
         out[idx, :, idx] = self.blocks
         return out.reshape(q * b2, q * b1)
-
-    def transpose(self) -> "BlockDiagMatrix":
-        return BlockDiagMatrix(np.swapaxes(self.blocks, 1, 2).copy())
 
     def conj_transpose(self) -> "BlockDiagMatrix":
         return BlockDiagMatrix(np.conj(np.swapaxes(self.blocks, 1, 2)).copy())
@@ -126,30 +109,8 @@ class DiagBlockMatrix:
         return (gr * self.b_row, gc * self.b_col)
 
     @property
-    def support_size(self) -> int:
-        return self.entries.size
-
-    @property
     def is_square_blocked(self) -> bool:
         return self.b_row == self.b_col
-
-    @classmethod
-    def identity(cls, b: int, q: int, dtype=np.float64) -> "DiagBlockMatrix":
-        entries = np.zeros((q, q, b), dtype=dtype)
-        idx = np.arange(q)
-        entries[idx, idx, :] = 1.0
-        return cls(b_row=b, b_col=b, entries=entries)
-
-    @classmethod
-    def from_dense(cls, a, b_row: int, b_col: int) -> "DiagBlockMatrix":
-        a = np.asarray(a)
-        if not db_membership(a, b_row, b_col):
-            raise BadBlocking("matrix has entries outside the wrapped-diagonal support")
-        gr, gc = a.shape[0] // b_row, a.shape[1] // b_col
-        rows, cols = _wrapped_support(b_row, b_col)
-        # (grid row, grid col, row in block, col in block) view of a
-        blocks = a.reshape(gr, b_row, gc, b_col).transpose(0, 2, 1, 3)
-        return cls(b_row=b_row, b_col=b_col, entries=np.ascontiguousarray(blocks[:, :, rows, cols]))
 
     def to_dense(self) -> np.ndarray:
         gr, gc = self.grid

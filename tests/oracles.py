@@ -22,6 +22,18 @@ def monarch_dense_oracle(m) -> np.ndarray:
     return p.T @ m.ltilde.to_dense() @ p @ m.r.to_dense()
 
 
+def db_entries(a, b: int) -> np.ndarray:
+    """DiagBlockMatrix entries of a dense matrix with square b x b blocks:
+    entries[i1, j1, i0] = a[i1*b + i0, j1*b + i0], read one by one."""
+    q = a.shape[0] // b
+    out = np.zeros((q, q, b), dtype=a.dtype)
+    for i1 in range(q):
+        for j1 in range(q):
+            for i0 in range(b):
+                out[i1, j1, i0] = a[i1 * b + i0, j1 * b + i0]
+    return out
+
+
 def butterfly_factor_dense(f) -> np.ndarray:
     """Dense form of a ButterflyFactorMatrix: entry v of quadrant (r, c) of
     block t placed one by one at (t*k + r*k/2 + v, t*k + c*k/2 + v)."""

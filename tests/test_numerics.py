@@ -279,6 +279,86 @@ class TestRank1Approx:
             assert ours <= cand + 1e-12
 
 
+    @staticmethod
+    def _lapack_truncation(a):
+        u, s, vh = np.linalg.svd(a, full_matrices=False)
+        return s[..., :1, None] * u[..., :, :1] * vh[..., :1, :]
+
+    @staticmethod
+    def _spy_on_svd(monkeypatch):
+        """Record every stack rank1_approx hands to svd."""
+        calls = []
+        real_svd = nm.svd
+
+        def spy(a):
+            calls.append(np.array(a))
+            return real_svd(a)
+
+        monkeypatch.setattr(nm, "svd", spy)
+        return calls
+
+    def test_small_gap_falls_back_to_svd(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        stack = np.empty((2, 8, 6))
+        for i, s in enumerate([[1.0, 1.0 - 1e-9, 0.3, 0.2, 0.1, 0.05], [1.0, 0.5, 0.3, 0.2, 0.1, 0.05]]):
+            q_left = np.linalg.qr(rng.standard_normal((8, 6)))[0]
+            q_right = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+            stack[i] = (q_left * s) @ q_right.T
+        calls = self._spy_on_svd(monkeypatch)
+        u, v = nm.rank1_approx(stack)
+        assert len(calls) == 1 and np.array_equal(calls[0], stack[:1])  # the separated matrix is certified
+        res = nm.svd(stack[0])
+        assert np.array_equal(u[0], res.s[0] * res.u[:, 0])
+        assert np.array_equal(v[0], res.v[:, 0])
+        best = self._lapack_truncation(stack[1])
+        assert np.linalg.norm(np.multiply.outer(u[1], np.conj(v[1])) - best) <= 1e-13
+
+    def test_equal_singular_values(self, monkeypatch):
+        q = np.linalg.qr(np.random.default_rng(15).standard_normal((8, 8)))[0]
+        calls = self._spy_on_svd(monkeypatch)
+        u, v = nm.rank1_approx(q)
+        assert not calls
+        resid_sq = np.linalg.norm(q - np.multiply.outer(u, np.conj(v))) ** 2
+        assert abs(resid_sq - 7.0) <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(4, 3, 7), (4, 7, 3)])
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_matches_lapack_truncation(self, shape, cplx):
+        rng = np.random.default_rng(16)
+        a = rng.standard_normal(shape)
+        if cplx:
+            a = a + 1j * rng.standard_normal(shape)
+        u, v = nm.rank1_approx(a)
+        assert u.shape == shape[:2] and v.shape == (shape[0], shape[2])
+        assert u.dtype == v.dtype == a.dtype
+        outer = u[:, :, None] * np.conj(v)[:, None, :]
+        assert np.linalg.norm(outer - self._lapack_truncation(a)) <= 1e-13 * np.linalg.norm(a)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 5), (2, 6, 3)])
+    def test_non_finite_entry_raises(self, bad, shape):
+        a = np.ones(shape)
+        a.flat[3] = bad
+        with pytest.raises(NonFiniteValue, match="non-finite"):
+            nm.rank1_approx(a)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 5), (2, 5, 2)])
+    def test_finite_norm_overflow_is_no_convergence(self, shape):
+        # no errstate here: the kernel may leak no RuntimeWarning
+        with pytest.raises(NoConvergence, match="norm overflow"):
+            nm.rank1_approx(np.full(shape, 1e200))
+
+    @pytest.mark.parametrize("shape", [(5, 9, 4), (5, 4, 9)])
+    def test_counts_power_scheme_work(self, monkeypatch, shape):
+        a = np.random.default_rng(18).standard_normal(shape)
+        calls = self._spy_on_svd(monkeypatch)
+        with count_multiplies() as tally:
+            nm.rank1_approx(a)
+        assert not calls
+        batch, m, k = 5, 9, 4
+        assert tally.multiplies == batch * (m * k * k + 12 * k**3 + 2 * k * k + 2 * m * k)
+
+
 class TestEig:
     def test_triangular(self):
         res = nm.eig(np.array([[2.0, 1.0], [0.0, 3.0]]))

@@ -1,5 +1,5 @@
-"""Property tests for the batched Jacobi SVD and the projection built on it,
-for the batched Gauss-Jordan inversion, for the QR eigensolver on
+"""Property tests for the batched Jacobi SVD, the rank-1 power scheme and
+the projection built on it, for the batched Gauss-Jordan inversion, for the QR eigensolver on
 conjugated diagonal matrices, for the reshape-transpose form
 of P against the index-table references, and for MM* factorization of
 gauge-transformed factors.
@@ -101,6 +101,32 @@ def test_stack_agrees_with_single_matrices(a):
         stacked = (res.u[i] * res.s[i]) @ res.v[i].conj().T
         single = (one.u * one.s) @ one.v.conj().T
         assert np.linalg.norm(stacked - single) <= 10 * scale
+
+
+@st.composite
+def separated_stacks(draw):
+    """U diag(s) V^H with sigma_2 / sigma_1 <= 0.9, tall or wide, real or complex."""
+    batch = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 8))
+    m = k + draw(st.integers(1, 6))
+    rows, cols = (k, m) if draw(st.booleans()) else (m, k)
+    cplx = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    left = np.linalg.qr(_normal(rng, (batch, rows, k), cplx))[0]
+    right = np.linalg.qr(_normal(rng, (batch, cols, k), cplx))[0]
+    s = np.sort(rng.uniform(0.0, 0.9, (batch, k)), axis=1)[:, ::-1]
+    s[:, 0] = 1.0
+    s *= 10.0 ** rng.uniform(-3, 3, (batch, 1))
+    return (left * s[:, None, :]) @ right.conj().transpose(0, 2, 1)
+
+
+@given(separated_stacks())
+def test_rank1_approx_is_lapack_truncation(a):
+    u, v = nm.rank1_approx(a)
+    left, s, right_h = np.linalg.svd(a, full_matrices=False)
+    best = s[:, :1, None] * left[:, :, :1] * right_h[:, :1, :]
+    err = np.linalg.norm(u[:, :, None] * np.conj(v)[:, None, :] - best, axis=(1, 2))
+    assert np.all(err <= 1e-12 * _norms(a))
 
 
 @st.composite
