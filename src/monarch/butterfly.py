@@ -169,6 +169,16 @@ def random_butterfly(n: int, seed: int = 0) -> ButterflyMatrix:
     return ButterflyMatrix(n=n, factors=factors)
 
 
+def _fixed_butterfly(n: int, quadrants) -> list[ButterflyFactorMatrix]:
+    """Factors B_n, ..., B_2 whose blocks of size k all have the quadrant
+    diagonals quadrants(k), an array broadcastable to (2, 2, k/2)."""
+    s = _check_power_of_two(n)
+    return [
+        ButterflyFactorMatrix(n=n, k=k, diagonals=np.broadcast_to(quadrants(k), (n // k, 2, 2, k // 2)).copy())
+        for k in (n >> i for i in range(s))
+    ]
+
+
 def dft_butterfly(n: int):
     """Radix-2 decimation-in-time factorization of the unnormalized DFT.
 
@@ -177,32 +187,17 @@ def dft_butterfly(n: int):
     x. bitrev is the int64 bit-reversal index array, an involution:
     arange(2**s) reshaped to s axes of length 2, axes reversed, flattened.
     """
-    s = _check_power_of_two(n)
-    factors = []
-    for i in range(s):
-        k = n >> i
-        half = k // 2
-        omega = np.exp(-2j * np.pi * np.arange(half) / k)
-        diag = np.empty((n // k, 2, 2, half), dtype=np.complex128)
-        diag[:, 0, 0] = 1.0
-        diag[:, 0, 1] = omega
-        diag[:, 1, 0] = 1.0
-        diag[:, 1, 1] = -omega
-        factors.append(ButterflyFactorMatrix(n=n, k=k, diagonals=diag))
-    bitrev = np.arange(n, dtype=np.int64).reshape((2,) * s).T.ravel()
+
+    def quadrants(k):
+        omega = np.exp(-2j * np.pi * np.arange(k // 2) / k)
+        return np.array([[np.ones(k // 2), omega], [np.ones(k // 2), -omega]])
+
+    factors = _fixed_butterfly(n, quadrants)
+    bitrev = np.arange(n, dtype=np.int64).reshape((2,) * len(factors)).T.ravel()
     return ButterflyMatrix(n=n, factors=factors), bitrev
 
 
 def hadamard_butterfly(n: int) -> ButterflyMatrix:
     """The +-1 Hadamard matrix (Sylvester construction) as a butterfly."""
-    s = _check_power_of_two(n)
-    factors = []
-    for i in range(s):
-        k = n >> i
-        diag = np.empty((n // k, 2, 2, k // 2), dtype=np.float64)
-        diag[:, 0, 0] = 1.0
-        diag[:, 0, 1] = 1.0
-        diag[:, 1, 0] = 1.0
-        diag[:, 1, 1] = -1.0
-        factors.append(ButterflyFactorMatrix(n=n, k=k, diagonals=diag))
-    return ButterflyMatrix(n=n, factors=factors)
+    quadrants = np.array([[1.0, 1.0], [1.0, -1.0]])[:, :, None]
+    return ButterflyMatrix(n=n, factors=_fixed_butterfly(n, lambda k: quadrants))

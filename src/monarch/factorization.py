@@ -8,7 +8,8 @@ the matrices, for i, j >= 1,
     F(i, j) = Mt_i0^-1  Mt_ij  Mt_0j^-1  Mt_00
 
 share the eigenbasis C_0^-1 (F(i, 0) and F(0, j) are the identity), so any
-simultaneous diagonalizer Q of the family is a valid C_0. In the gauge
+simultaneous diagonalizer Q of the family is a valid C_0. The inverses come
+from one batched inversion of block column 0 and block row 0. In the gauge
 A_i = Mt_i0 Q^-1, C_j = Q Mt_00^-1 Mt_0j the middle factor is read off the
 diagonalization: D_ij = Q F(i, j) Q^-1 and D_i0 = D_0j = I.
 
@@ -178,19 +179,14 @@ def _permuted_blocks(m: np.ndarray, b: int | None):
     return m.reshape(q, b, q, b).transpose(1, 3, 0, 2)
 
 
-def _singular_block(i: int, j: int, exc: SingularMatrix) -> SingularBlock:
-    return SingularBlock(
-        f"permuted block ({i},{j}) is singular; assumption 1 "
-        f"(nonzero middle-factor entries, invertible blocks) fails: {exc}"
-    )
-
-
 def factorize_mm_star(m, b: int | None) -> MMStarFactorization:
     """Recover Monarch factors of an MM*(b, n) matrix satisfying assumption 1.
 
-    Raises NonFiniteValue on a non-finite entry, SingularBlock when a
-    permuted block is not invertible (assumption 1 fails, e.g. for the
-    identity), SimDiagFailed when no common eigenbasis exists to tolerance
+    The 2b - 1 permuted blocks of block column 0 and block row 0 are
+    inverted in one batched call. Raises NonFiniteValue on a non-finite
+    entry, SingularBlock when a permuted block is not invertible (assumption
+    1 fails, e.g. for the identity; a block of column 0 is named before one
+    of row 0), SimDiagFailed when no common eigenbasis exists to tolerance
     (the input is not in MM*, or its finite entries overflow the family).
     """
     m = np.asarray(m)
@@ -198,17 +194,18 @@ def factorize_mm_star(m, b: int | None) -> MMStarFactorization:
     if not np.all(np.isfinite(blocks)):
         raise NonFiniteValue("factorize_mm_star: input has a non-finite entry")
     b, q = blocks.shape[1:3]
-    try:
-        inv_col0 = lu_invert(blocks[:, 0])
+    try:  # block column 0, then block row 0 without Mt_00
+        cross = lu_invert(np.concatenate([blocks[:, 0], blocks[0, 1:]]))
     except SingularMatrix as exc:
-        raise _singular_block(exc.index, 0, exc) from exc
-    try:
-        inv_row0 = lu_invert(blocks[0])
-    except SingularMatrix as exc:
-        raise _singular_block(0, exc.index, exc) from exc
+        i, j = (exc.index, 0) if exc.index < b else (0, exc.index - b + 1)
+        raise SingularBlock(
+            f"permuted block ({i},{j}) is singular; assumption 1 "
+            f"(nonzero middle-factor entries, invertible blocks) fails: {exc}"
+        ) from exc
+    inv_col0 = cross[:b]
 
     # family F(i, j) = Mt_i0^-1 Mt_ij (Mt_0j^-1 Mt_00) for i, j >= 1, i-major
-    right = inv_row0[1:] @ blocks[0, 0]
+    right = cross[b:] @ blocks[0, 0]
     family = (inv_col0[1:, None] @ blocks[1:, 1:] @ right).reshape((b - 1) ** 2, q, q)
     add_multiplies((b - 1) * q**3 + 2 * (b - 1) ** 2 * q**3)
 

@@ -116,7 +116,9 @@ def lu_invert(a) -> np.ndarray:
 
     Gauss-Jordan elimination on [A | I] with partial pivoting, one column
     step for every matrix of the stack at once; a single matrix is a batch
-    of one. Raises SingularMatrix, naming the first failing matrix of the
+    of one. An empty input (0 x 0 matrices, or no matrices) is its own
+    inverse: it comes back empty in the promoted dtype, with no multiplies
+    counted. Raises SingularMatrix, naming the first failing matrix of the
     stack, when a pivot is not above SINGULAR_PIVOT_RTOL * max|A_i|, and
     NonFiniteValue, naming the first non-finite matrix, when the stack has
     a NaN or infinite entry (no pivot is above that threshold then, so
@@ -125,6 +127,8 @@ def lu_invert(a) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch("lu_invert needs a square matrix or a stack of square matrices")
+    if not a.size:
+        return np.empty(a.shape, dtype=np.result_type(a.dtype, np.float64))
     stack = a[None] if a.ndim == 2 else a
     batch, k = stack.shape[:2]
     w = np.empty((batch, k, 2 * k), dtype=np.result_type(stack.dtype, np.float64))
@@ -332,8 +336,8 @@ def rank1_approx(a):
     """Best rank-1 approximation a ~ outer(u, conj(v)) (Eckart-Young).
 
     Returns (u, v) with u = s_1 * U[:, 0] and v = V[:, 0]; both zero vectors
-    for a zero matrix. A stack (batch, rows, cols) gives (batch, rows) and
-    (batch, cols) stacks.
+    for a zero matrix, an empty one included (with no multiplies counted). A
+    stack (batch, rows, cols) gives (batch, rows) and (batch, cols) stacks.
 
     Every matrix of the stack goes through one batched power scheme on its
     Gram matrix G = S^H S, formed on the smaller side (S S^H when rows <
@@ -356,6 +360,9 @@ def rank1_approx(a):
     stack = a[None] if a.ndim == 2 else a
     stack = stack.astype(dtype_for(field_of(stack)), copy=False)
     batch, rows, cols = stack.shape
+    if not stack.size:  # an empty matrix is a zero matrix
+        u, v = np.zeros((batch, rows), stack.dtype), np.zeros((batch, cols), stack.dtype)
+        return (u[0], v[0]) if a.ndim == 2 else (u, v)
     wide = rows < cols
     s = stack.conj().transpose(0, 2, 1) if wide else stack  # tall: (batch, m, k)
     sh = stack if wide else stack.conj().transpose(0, 2, 1)

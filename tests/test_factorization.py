@@ -159,13 +159,13 @@ class TestFactorize:
         assert factorize_mm_star(dense, 8).reconstruction_error <= 1e-6
 
     def test_middle_factor_read_off_diagonalization(self, monkeypatch):
-        # inversions of block column 0 and block row 0 (Q^-1 comes with the
-        # eigenbasis); D is read off Q F Q^-1
+        # one batched inversion of block column 0 and block row 0 (Q^-1 comes
+        # with the eigenbasis); D is read off Q F Q^-1
         calls = _count_calls(monkeypatch, "lu_invert")
         eig_calls = _count_calls(monkeypatch, "eig")
         result = factorize_mm_star(product_to_dense(random_mm_star(32, 4, seed=3)), 4)
         assert eig_calls == [(8, 8)]
-        assert calls == [(4, 8, 8), (4, 8, 8)]
+        assert calls == [(7, 8, 8)]
         d = result.middle.entries
         assert np.all(d[0] == 1.0) and np.all(d[:, 0] == 1.0)
 
@@ -173,11 +173,25 @@ class TestFactorize:
         with pytest.raises(SingularBlock):
             factorize_mm_star(np.eye(16), 4)
 
-    @pytest.mark.parametrize("i", [1, 3])
+    @pytest.mark.parametrize("i", [0, 1, 3])
     def test_singular_column_block_named(self, i):
         dense = product_to_dense(random_mm_star(16, 4, seed=2))
         dense[i::4, 0::4] = 0.0  # permuted block (i, 0)
         with pytest.raises(SingularBlock, match=rf"permuted block \({i},0\) is singular"):
+            factorize_mm_star(dense, 4)
+
+    @pytest.mark.parametrize("j", [1, 3])
+    def test_singular_row_block_named(self, j):
+        dense = product_to_dense(random_mm_star(16, 4, seed=2))
+        dense[0::4, j::4] = 0.0  # permuted block (0, j)
+        with pytest.raises(SingularBlock, match=rf"permuted block \(0,{j}\) is singular"):
+            factorize_mm_star(dense, 4)
+
+    def test_singular_column_block_named_before_row_block(self):
+        dense = product_to_dense(random_mm_star(16, 4, seed=2))
+        dense[0::4, 3::4] = 0.0  # permuted block (0, 3)
+        dense[2::4, 0::4] = 0.0  # permuted block (2, 0)
+        with pytest.raises(SingularBlock, match=r"permuted block \(2,0\) is singular"):
             factorize_mm_star(dense, 4)
 
     def test_complex_round_trip(self):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from monarch.core import (
 )
 from monarch.errors import DimensionMismatch
 from monarch.gradients import gradcheck, matvec_vjp
+from monarch.structured import BlockDiagMatrix
 
 
 class TestVjp:
@@ -102,6 +105,28 @@ class TestGradcheck:
         report = gradcheck(m, x, seed=8)
         assert report.passed
         assert report.max_rel_error <= 1e-6
+
+    def test_real_ltilde_complex_r(self):
+        # the field comes from both factors: a complex R alone makes the
+        # check complex, so no imaginary part is dropped
+        n, b = 16, 4
+        rng = np.random.default_rng(12)
+        r = rng.standard_normal((n // b, b, b)) + 1j * rng.standard_normal((n // b, b, b))
+        m = MonarchMatrix(
+            ltilde=BlockDiagMatrix(rng.standard_normal((b, n // b, n // b))), r=BlockDiagMatrix(r)
+        )
+        x = rng.standard_normal(n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = gradcheck(m, x, seed=12)
+        assert report.passed, report.failures[:3]
+        assert report.coords_checked == n * n // b + n * b + n
+        draw = np.random.default_rng(12)
+        upstream = draw.standard_normal(n) + 1j * draw.standard_normal(n)  # gradcheck(seed=12) draws the same
+        tangent = matvec_vjp(m, x, upstream)
+        tangent.d_r[1, 2, 0] = tangent.d_r[1, 2, 0].real
+        report = gradcheck(m, x, seed=12, tangent=tangent)
+        assert [f[0] for f in report.failures] == [("R", 1, 2, 0)]
 
     def test_fault_injection_localizes(self):
         m = random_monarch(16, 4, seed=9)

@@ -142,6 +142,14 @@ class TestLuInvert:
         with pytest.raises(NonFiniteValue, match="matrix 1: non-finite"):
             nm.lu_invert(a)
 
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 0, 0), (0, 3, 3)])
+    @pytest.mark.parametrize("dtype,promoted", [(np.int64, np.float64), (np.complex128, np.complex128)])
+    def test_empty_input(self, shape, dtype, promoted):
+        with count_multiplies() as tally:
+            inv = nm.lu_invert(np.zeros(shape, dtype=dtype))
+        assert inv.shape == shape and inv.dtype == promoted
+        assert tally.multiplies == 0
+
     def test_counts_gauss_jordan_work(self):
         with count_multiplies() as tally:
             nm.lu_invert(np.tile(np.eye(4), (3, 1, 1)))
@@ -244,6 +252,18 @@ class TestRank1Approx:
     def test_zero_matrix(self):
         u, v = nm.rank1_approx(np.zeros((3, 2)))
         assert not u.any() and not v.any()
+
+    @pytest.mark.parametrize(
+        "shape,u_shape,v_shape",
+        [((0, 3), (0,), (3,)), ((3, 0), (3,), (0,)), ((2, 0, 0), (2, 0), (2, 0)), ((0, 3, 3), (0, 3), (0, 3))],
+    )
+    def test_empty_matrix_is_zero(self, shape, u_shape, v_shape):
+        with count_multiplies() as tally:
+            u, v = nm.rank1_approx(np.zeros(shape))
+        assert u.shape == u_shape and v.shape == v_shape
+        assert u.dtype == v.dtype == np.float64
+        assert not u.any() and not v.any()
+        assert tally.multiplies == 0
 
     def test_residual_equals_tail_singular_mass(self):
         rng = np.random.default_rng(11)
